@@ -111,10 +111,8 @@ def _cmd_decide(args):
     if args.json:
         _emit_json({"schema": 1, "verdict": "resource-exhausted",
                     "stage": decision.stage, "budget": decision.budget})
-    else:
-        print(f"error: {decision.stage}: budget of {decision.budget} "
-              "exhausted before closure", file=sys.stderr)
-    return EXIT_RESOURCE
+        return EXIT_RESOURCE
+    raise ResourceExhaustedError(decision.stage, decision.budget)
 
 
 def _cmd_type(args):
@@ -126,9 +124,7 @@ def _cmd_type(args):
     if isinstance(decision, typability.Untypable):
         print("error: the pargoid is untypable", file=sys.stderr)
         return EXIT_REJECTED
-    print(f"error: {decision.stage}: budget of {decision.budget} "
-          "exhausted before closure", file=sys.stderr)
-    return EXIT_RESOURCE
+    raise ResourceExhaustedError(decision.stage, decision.budget)
 
 
 def _cmd_verify(args):
@@ -399,11 +395,11 @@ def run(argv=None):
     except ResourceExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: input nests too deeply to process", file=sys.stderr)
         return EXIT_INPUT
 
 

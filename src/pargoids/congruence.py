@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
 from .pargoid import _ix
 
@@ -43,25 +45,15 @@ def make_partition(blocks, n):
 def leibniz(g, clone):
     """Partition of the carrier by convergence profile over the clone.
 
-    Refines the one-block partition by each op's domain; the result is
-    order-independent since it equals profile equality.
+    Each element's profile is its column of the clone's domain matrix,
+    packed into bytes; elements with equal bytes share a block.
     """
     if clone.budget_hit:
         raise InputError("the congruence needs a fully closed clone")
-    blocks = [list(range(g.size))]
-    for op in clone.ops:
-        dom = set(op.domain)
-        refined = []
-        for blk in blocks:
-            ins = [e for e in blk if e in dom]
-            outs = [e for e in blk if e not in dom]
-            if ins and outs:
-                refined.append(ins)
-                refined.append(outs)
-            else:
-                refined.append(blk)
-        blocks = refined
-    return make_partition(blocks, g.size)
+    blocks = {}
+    for e, profile in enumerate(np.packbits(clone.domains(), axis=0).T):
+        blocks.setdefault(profile.tobytes(), []).append(e)
+    return make_partition(blocks.values(), g.size)
 
 
 def is_congruence(g, part):

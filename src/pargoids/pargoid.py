@@ -167,12 +167,15 @@ def _parse_json(text):
             raise InputError(f"duplicate element name {nm!r}")
         index[nm] = len(index)
     table = {}
-    for entry in doc.get("products", []):
+    products = doc.get("products", [])
+    if not isinstance(products, list):
+        raise InputError("'products' must be an array")
+    for entry in products:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise InputError(f"product entry must be [left, right, result]: {entry!r}")
         left, right, result = entry
         for nm in entry:
-            if nm not in index:
+            if not isinstance(nm, str) or nm not in index:
                 raise InputError(f"unknown element {nm!r}")
         key = (index[left], index[right])
         if key in table:
@@ -181,10 +184,17 @@ def _parse_json(text):
     return Pargoid(names, table)
 
 
+def decode(data):
+    """Text of a str, or of UTF-8 bytes; other bytes are an input error."""
+    try:
+        return bytes(data).decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8: bad byte at offset {exc.start}") from None
+
+
 def parse(data, format="text"):
     """Parse a pargoid from bytes or str in the text or json format."""
-    if isinstance(data, (bytes, bytearray)):
-        data = bytes(data).decode("utf-8")
+    data = decode(data)
     if format == "text":
         return _parse_text(data)
     if format == "json":

@@ -9,8 +9,9 @@ produced it as a witness.
 Closure is a worklist fixpoint over graphs, vectorized with numpy: graphs
 are uint8 matrix rows using the carrier size as the "undefined" sentinel,
 so one fancy-indexed lookup computes a whole batch of pointwise products.
-Recorded products (the factorization edges) take memory quadratic in the
-final op count; the op budget is the practical bound.
+Products are not stored: besides its graph, each op keeps one level and
+one seed byte, so memory is linear in the op count and the op budget is
+the only bound. Products needed later are recomputed on demand.
 """
 from __future__ import annotations
 
@@ -19,19 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceExhausted
+from .errors import InputError, InternalError, ResourceExhausted
 from .pargoid import ElementId, _ix, apply
 
-DEFAULT_BUDGET = 100_000
+DEFAULT_BUDGET = 8192
 READINGS = ("total", "on-domain")
 
 # uint8 graphs reserve one value for the undefined sentinel
 MAX_CARRIER = 255
 
-# The factorization table is int32 and m-by-m; past this many ops it would
-# exceed 256 MiB, so closure stops there with budget_hit even when the
-# requested op budget is larger.
-MAX_EDGE_OPS = 8192
+# Op levels: 0 for a total constant map, 1 for a map constant on its
+# domain only (the empty map included), 2 for a nonconstant map. Under a
+# reading, an op is nonconstant when its level reaches this value.
+_NONCONSTANT_LEVEL = {"total": 1, "on-domain": 2}
+
+# products are computed in chunks of at most this many result cells
+_PRODUCT_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -209,22 +213,25 @@ class UnaryPolyOp:
 
 
 class CloneResult:
-    """Clone ops in construction order plus the recorded product edges.
+    """Clone ops in construction order, with their graphs and seed levels.
 
     Treated as immutable once built; the backing arrays are read-only.
     reading is None until classify fills the flags.
     """
 
     __slots__ = ("ops", "budget_hit", "reading", "carrier_size",
-                 "_graphs", "_table", "_index")
+                 "_graphs", "_mult", "_level", "_seed", "_index")
 
-    def __init__(self, ops, budget_hit, reading, carrier_size, graphs, table, index):
+    def __init__(self, ops, budget_hit, reading, carrier_size,
+                 graphs, mult, level, seed, index):
         self.ops = ops
         self.budget_hit = budget_hit
         self.reading = reading
         self.carrier_size = carrier_size
         self._graphs = graphs
-        self._table = table
+        self._mult = mult
+        self._level = level
+        self._seed = seed
         self._index = index
 
     @property
@@ -238,12 +245,42 @@ class CloneResult:
         key = bytes(self.carrier_size if v is None else v for v in graph)
         return self._index.get(key)
 
+    def domains(self):
+        """Boolean op-by-element matrix: where each op converges."""
+        return self._graphs != self.carrier_size
+
+    def seeded(self, reading):
+        """Mask of the ops that are some p·q with q nonconstant (closed clones)."""
+        return self._seed >= _NONCONSTANT_LEVEL[reading]
+
+    def products(self, left, right):
+        """Sorted distinct op indices of ops[i]·ops[j], i in left, j in right.
+
+        Computed on demand from the graphs, in bounded memory. A closed
+        clone holds every product, so a missing one is a bug alarm; on a
+        truncated clone, products it has not reached are left out.
+        """
+        n = self.carrier_size
+        right = self._graphs[right].astype(np.intp)
+        keys = set()
+        step = max(1, _PRODUCT_CHUNK // max(1, right.size))
+        for s in range(0, len(left), step):
+            rows = self._graphs[left[s:s + step]].astype(np.intp)[:, None, :]
+            data = self._mult[rows * (n + 1) + right[None]].tobytes()
+            keys.update(data[k:k + n] for k in range(0, len(data), n))
+        ops = [self._index.get(key) for key in keys]
+        if None in ops:
+            if not self.budget_hit:
+                raise InternalError("a product of two ops is missing from the clone")
+            ops = [op for op in ops if op is not None]
+        return np.array(sorted(ops), dtype=np.intp)
+
     def product_edge(self, i, j):
-        """Recorded index of ops[i]·ops[j], or None when not recorded."""
+        """Index of ops[i]·ops[j], or None when a truncated clone lacks it."""
         if not (0 <= i < len(self.ops) and 0 <= j < len(self.ops)):
             raise InputError("op index out of range")
-        r = int(self._table[i, j])
-        return None if r < 0 else r
+        r = self.products([i], [j])
+        return int(r[0]) if r.size else None
 
 
 def _graph_tuple(row, undef):
@@ -257,26 +294,26 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     each element (skipping graph duplicates), then products in worklist
     order — for the op under work, pairs (earlier, it) before (it, earlier).
     The budget counts ops, not products; reaching it sets budget_hit, or
-    raises when the caller asked for exactness. Budgets above MAX_EDGE_OPS
-    are clamped to it so the quadratic factorization table stays bounded.
+    raises when the caller asked for exactness. Each op also records its
+    level (0 total constant, 1 constant on its domain only, 2 nonconstant)
+    and its seed: the highest level of a right factor q over the pairs p·q
+    that produce it. classify reads the definite seeds off the latter.
     """
     n = g.size
     if n > MAX_CARRIER:
         raise InputError(f"carrier too large for clone computation (max {MAX_CARRIER})")
     if budget < n + 1:
         raise InputError(f"clone budget must be at least {n + 1}")
-    op_cap = min(budget, MAX_EDGE_OPS)
     undef = n
     nn = n + 1
     mult = np.full(nn * nn, undef, dtype=np.uint8)
     for (a, b), c in g.table.items():
         mult[a * nn + b] = c
 
-    cap = 256
-    while cap < nn:
-        cap *= 2
+    cap = 256  # holds the n + 1 seed ops, as n <= MAX_CARRIER
     graphs = np.full((cap, n), undef, dtype=np.uint8)
-    table = np.full((cap, cap), -1, dtype=np.int32)
+    level = np.zeros(cap, dtype=np.int8)
+    seeds = np.zeros(cap, dtype=np.int8)
     witnesses = []
     index = {}
     m = 0
@@ -298,6 +335,8 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     done = 0
     while done < m:
         i = done
+        values = set(graphs[i].tolist())
+        level[i] = 2 if len(values - {undef}) > 1 else int(undef in values)
         k = 2 * i + 1
         left = np.empty(k, dtype=np.intp)
         right = np.empty(k, dtype=np.intp)
@@ -317,89 +356,68 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
             _, first, inv = np.unique(rows, axis=0, return_index=True,
                                       return_inverse=True)
         inv = inv.reshape(-1)
-        res = np.full(len(first), -1, dtype=np.int64)
+        res = np.empty(len(first), dtype=np.intp)
         for u in np.argsort(first, kind="stable"):
             p = int(first[u])
             key = rows[p].tobytes()
             op = index.get(key)
             if op is None:
-                if m >= op_cap:
+                if m >= budget:
                     budget_hit = True
                     break
                 if m == cap:
                     cap *= 2
-                    grown = np.full((cap, n), undef, dtype=np.uint8)
-                    grown[:m] = graphs[:m]
-                    graphs = grown
-                    grown = np.full((cap, cap), -1, dtype=np.int32)
-                    grown[:m, :m] = table[:m, :m]
-                    table = grown
+                    graphs = np.resize(graphs, (cap, n))
+                    level = np.resize(level, cap)
+                    seeds = np.resize(seeds, cap)
+                    seeds[m:] = 0  # np.resize fills by repeating
                 op = m
                 graphs[m] = rows[p]
                 index[key] = m
                 witnesses.append(Prod(witnesses[int(left[p])], witnesses[int(right[p])]))
                 m += 1
             res[u] = op
-        results = res[inv]
-        ok = results >= 0
-        table[left[ok], right[ok]] = results[ok]
         if budget_hit:
             break
+        np.maximum.at(seeds, res[inv], level[right])
         done += 1
 
     if budget_hit and exact:
         raise ResourceExhausted("clone", budget)
-    graphs = graphs[:m].copy()
-    table = table[:m, :m].copy()
-    graphs.setflags(write=False)
-    table.setflags(write=False)
+    graphs, level, seeds = graphs[:m].copy(), level[:m].copy(), seeds[:m].copy()
+    for arr in (mult, graphs, level, seeds):
+        arr.setflags(write=False)
     ops = tuple(
         UnaryPolyOp(_graph_tuple(graphs[i], undef), witnesses[i]) for i in range(m)
     )
-    return CloneResult(ops, budget_hit, None, n, graphs, table, index)
+    return CloneResult(ops, budget_hit, None, n, graphs, mult, level, seeds, index)
 
 
 def classify(clone, reading="total"):
     """New CloneResult with trivial/constant/definite flags filled.
 
-    Definiteness is the least fixpoint over all recorded factorization
-    edges: a nontrivial op r = p·q becomes definite when q is nonconstant
-    or p is already definite. Under the "total" reading a constant op is a
-    total constant map; under "on-domain" any op with at most one distinct
-    defined value counts as constant (the empty op vacuously so).
+    The definite ops are the least set of nontrivial ops holding every p·q
+    with q nonconstant (read off the closure's seeds) and closed under
+    p ↦ p·c for definite p and constant c (products computed on demand).
+    Under the "total" reading a constant op is a total constant map; under
+    "on-domain" any op with at most one distinct defined value counts as
+    constant (the empty op vacuously so).
     """
     if reading not in READINGS:
         raise InputError(f"unknown constant reading {reading!r}")
     if clone.budget_hit:
         raise InputError("cannot classify a clone truncated by its budget")
-    graphs = clone._graphs
-    m, n = graphs.shape
-    undef = n
-    defined = graphs != undef
-    total = defined.all(axis=1)
-    ident = total & (graphs == np.arange(n, dtype=np.uint8)[None, :]).all(axis=1)
-    const_total = total & (graphs == graphs[:, :1]).all(axis=1)
-    trivial = ident | const_total
-    if reading == "total":
-        constant = const_total
-    else:
-        hi = np.where(defined, graphs, 0).max(axis=1)
-        lo = np.where(defined, graphs, 255).min(axis=1)
-        constant = ~defined.any(axis=1) | (hi == lo)
-
-    table = clone._table
+    threshold = _NONCONSTANT_LEVEL[reading]
+    n = clone.carrier_size
+    ident = (clone._graphs == np.arange(n, dtype=np.uint8)).all(axis=1)
+    trivial = ident | (clone._level == 0)
+    constant = clone._level < threshold
     nontrivial = ~trivial
-    definite = np.zeros(m, dtype=bool)
-    cols = np.flatnonzero(~constant)
-    if cols.size:
-        seeds = table[:, cols].ravel()
-        seeds = np.unique(seeds[seeds >= 0])
-        seeds = seeds[nontrivial[seeds]]
-        definite[seeds] = True
+    definite = nontrivial & (clone._seed >= threshold)
+    consts = np.flatnonzero(constant)
     frontier = np.flatnonzero(definite)
     while frontier.size:
-        res = table[frontier, :].ravel()
-        res = np.unique(res[res >= 0])
+        res = clone.products(frontier, consts)
         new = res[nontrivial[res] & ~definite[res]]
         definite[new] = True
         frontier = new
@@ -409,8 +427,8 @@ def classify(clone, reading="total"):
                     bool(trivial[i]), bool(constant[i]), bool(definite[i]))
         for i, op in enumerate(clone.ops)
     )
-    return CloneResult(ops, False, reading, clone.carrier_size,
-                       graphs, table, clone._index)
+    return CloneResult(ops, False, reading, n, clone._graphs, clone._mult,
+                       clone._level, clone._seed, clone._index)
 
 
 def lemma2_check(clone):
@@ -426,12 +444,8 @@ def lemma2_check(clone):
     flagged = [i for i, op in enumerate(clone.ops)
                if not op.is_constant and not op.is_definite]
     ident_idx = clone.find(tuple(range(n)))
-    const_cols = np.array([clone.find((b,) * n) for b in range(n)], dtype=np.intp)
-    rows = np.array(flagged, dtype=np.intp)
-    reachable = set()
-    if rows.size and const_cols.size:
-        sub = clone._table[np.ix_(rows, const_cols)]
-        reachable = {int(v) for v in np.unique(sub) if v >= 0}
+    consts = [clone.find((b,) * n) for b in range(n)]
+    reachable = set(clone.products(flagged, consts).tolist())
     for i in flagged:
         if i != ident_idx and i not in reachable:
             return False, clone.ops[i]

@@ -313,40 +313,28 @@ def check_claim_star(g, clone, varpi):
 def _definite_reference(clone, reading):
     """Definite flags recomputed from scratch by synchronous sweeps.
 
-    Flags derive directly from the graph tuples and the fixpoint iterates
-    whole-table sweeps until stable, independently of classify's worklist
-    propagation; certificate checking uses this so it does not trust the
-    decision pipeline's cached flags.
+    Flags derive directly from the graph tuples, and each sweep adds every
+    product of a definite op with such a constant to the closure's seeds
+    until stable, independently of classify's worklist propagation;
+    certificate checking uses this so it does not trust the decision
+    pipeline's cached flags.
     """
-    n = clone.carrier_size
-    m = len(clone.ops)
-    trivial = np.zeros(m, dtype=bool)
-    constant = np.zeros(m, dtype=bool)
-    for k, op in enumerate(clone.ops):
-        dom = op.domain
-        is_ident = len(dom) == n and all(op.graph[i] == i for i in range(n))
-        is_const_total = len(dom) == n and len(set(op.graph)) == 1
-        trivial[k] = is_ident or is_const_total
-        if reading == "total":
-            constant[k] = is_const_total
-        else:
-            constant[k] = len({op.graph[i] for i in dom}) <= 1
+    ident = tuple(range(clone.carrier_size))
+    values = [set(op.graph) for op in clone.ops]
+    const_total = np.array([None not in v and len(v) == 1 for v in values], dtype=bool)
+    trivial = const_total | np.array([op.graph == ident for op in clone.ops], dtype=bool)
+    constant = const_total if reading == "total" else \
+        np.array([len(v - {None}) <= 1 for v in values], dtype=bool)
 
-    table = clone._table
-    valid = table >= 0
-    results = np.where(valid, table, 0)
-    definite = np.zeros(m, dtype=bool)
-    for _ in range(m + 1):
-        trigger = valid & (definite[:, None] | ~constant[None, :])
-        new = np.zeros(m, dtype=bool)
-        hits = results[trigger]
-        if hits.size:
-            new[np.unique(hits)] = True
+    consts = np.flatnonzero(constant)
+    definite = clone.seeded(reading) & ~trivial
+    while True:
+        new = definite.copy()
+        new[clone.products(np.flatnonzero(definite), consts)] = True
         new &= ~trivial
         if (new == definite).all():
-            break
+            return definite
         definite = new
-    return definite
 
 
 def validate_certificate(g, cert, budget=polyclone.DEFAULT_BUDGET, reading="total"):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import congruence
 from .errors import InputError
+from .pargoid import decode
 from .types import Arrow, Typing, format_type, parse_type, strict_closure_check
 
 MODES = ("literal", "strong")
@@ -171,10 +172,8 @@ def typing_isomorphic(t1, t2):
 
 def parse_typing(g, data):
     """Typing from JSON bytes or str: {"types": {"<element>": "<type>"}}."""
-    if isinstance(data, (bytes, bytearray)):
-        data = bytes(data).decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(decode(data))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("types"), dict):

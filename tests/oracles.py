@@ -199,3 +199,16 @@ def arbitrary_batch(count, sizes, densities, seed0):
                                    density=densities[k % len(densities)])
         out.append((cfg, generators.gen_arbitrary(cfg)))
     return out
+
+
+def typed_literal_batch(count, seed0):
+    """Small typed_literal instances (4-6 elements); under the on-domain
+    reading their clones hold many partial one-valued ops."""
+    out = []
+    for k in range(count):
+        cfg = generators.GenConfig(size=4 + k % 3, seed=seed0 + k,
+                                   mode="typed_literal", density=0.7,
+                                   type_depth=2 + k % 2,
+                                   ground_count=1 + (k // 3) % 2)
+        out.append(generators.gen_typed(cfg)[0])
+    return out

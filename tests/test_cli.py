@@ -285,6 +285,33 @@ def test_exit_codes_for_bad_input(tmp_path):
     assert "bad.pgd" in err
 
 
+DEEP_PARENS = "(" * 3000 + "g" + ")" * 3000
+LONG_CHAIN = " -> ".join(["g"] * 900)
+
+
+def _typing_of_a(t):
+    types = {nm: "g" for nm in ("a", "b", "c", "ab", "cb", "d")}
+    return json.dumps({"types": dict(types, a=t)}).encode()
+
+
+@pytest.mark.parametrize("command, name, data", [
+    ("decide", "list.json", b'{"elements":["a","b"],"products":[[["a"],"b","a"]]}'),
+    ("decide", "scalar.json", b'{"elements":["a"],"products":5}'),
+    ("decide", "latin1.pgd", b"elements: a\xff b\n"),
+    ("verify", "parens.json", _typing_of_a(DEEP_PARENS)),
+    ("verify", "chain.json", _typing_of_a(LONG_CHAIN)),
+], ids=["list-in-product", "scalar-products", "non-utf8", "deep-parens", "long-chain"])
+def test_malformed_input_exits_2_without_traceback(tmp_path, command, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    argv = [command, SIX, str(path)] if command == "verify" else [command, str(path)]
+    proc = subprocess.run([sys.executable, "-m", "pargoids.cli"] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_resource_exhaustion():
     code, _, err = run(["clone", THREE, "--budget", "4"])
     assert code == 3

@@ -215,6 +215,8 @@ def test_classify_six_reading_difference():
 def test_classify_matches_definite_oracle():
     instances = [oracles.three(), oracles.six(), oracles.void2(), quad()]
     instances += [g for _, g in oracles.arbitrary_batch(8, (2, 3, 4), (0.3, 0.6), 7500)]
+    instances += oracles.typed_literal_batch(40, 8100)
+    propagated = 0
     for g in instances:
         expected = oracles.definite_oracle_both(g, oracles.brute_force_clone_graphs(g))
         raw = compute_clone(g)
@@ -222,6 +224,11 @@ def test_classify_matches_definite_oracle():
             clone = classify(raw, reading)
             got = {op.graph for op in clone.ops if op.is_definite}
             assert got == expected[reading]
+            seeded = raw.seeded(reading)
+            propagated += sum(op.is_definite and not seeded[i]
+                              for i, op in enumerate(clone.ops))
+    # some definite op is reached only through a constant right factor
+    assert propagated > 0
 
 
 def test_classify_is_idempotent():

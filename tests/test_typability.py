@@ -260,6 +260,7 @@ def test_validate_certificate_rejects_indefinite_op():
 def test_definite_reference_matches_classify():
     instances = [oracles.three(), oracles.six(), oracles.void2(), quad()]
     instances += [g for _, g in oracles.arbitrary_batch(10, (2, 3, 4), (0.3, 0.6), 8000)]
+    instances += oracles.typed_literal_batch(40, 8200)
     for g in instances:
         raw = compute_clone(g)
         for reading in polyclone.READINGS:
