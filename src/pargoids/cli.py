@@ -2,8 +2,10 @@
 
 Results go to stdout, diagnostics to stderr. Exit codes are stable API:
 0 typable/verified/ok, 1 untypable/rejected, 2 input error, 3 resource
-exhausted. JSON outputs carry "schema": 1 and validate against the files
-shipped in pargoids/schemas/.
+exhausted, 4 internal error (a bug alarm, never a verdict). JSON outputs
+carry "schema": 1 and validate against the files shipped in
+pargoids/schemas/. In literal mode, verify's text output labels totality
+failures as informational, since they do not decide acceptance.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import os
 import sys
 
 from . import congruence, generators, pargoid, polyclone, typability, verifier
-from .errors import InputError
+from .errors import InputError, InternalError
 from .errors import ResourceExhausted as ResourceExhaustedError
 from .types import format_type
 
@@ -21,6 +23,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _read_bytes(path):
@@ -150,7 +153,10 @@ def _cmd_verify(args):
     else:
         _emit("accepted\n" if report.accepted else "rejected\n")
         for v in report.failures:
-            _emit(f"{v.check}: {v.detail}\n")
+            label = v.check
+            if v.check == "axiom1-totality" and mode == "literal":
+                label += " (informational; literal mode)"
+            _emit(f"{label}: {v.detail}\n")
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
 
@@ -401,6 +407,9 @@ def run(argv=None):
     except RecursionError:
         print("error: input nests too deeply to process", file=sys.stderr)
         return EXIT_INPUT
+    except InternalError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main():

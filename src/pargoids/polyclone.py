@@ -9,6 +9,9 @@ produced it as a witness.
 Closure is a worklist fixpoint over graphs, vectorized with numpy: graphs
 are uint8 matrix rows using the carrier size as the "undefined" sentinel,
 so one fancy-indexed lookup computes a whole batch of pointwise products.
+A batch is deduplicated by one stable sort: each result row, zero-padded
+to whole 64-bit words, is sorted by its words, and equal rows then form
+runs headed by their earliest pair, for every carrier size.
 Products are not stored: besides its graph, each op keeps one level and
 one seed byte, so memory is linear in the op count and the op budget is
 the only bound. Products needed later are recomputed on demand.
@@ -331,6 +334,7 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     for e in range(n):
         seed(np.full(n, e, dtype=np.uint8), Const(g.element(e)))
 
+    width = 8 * -(-n // 8)  # bytes in a row padded to whole 64-bit words
     budget_hit = False
     done = 0
     while done < m:
@@ -344,19 +348,22 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
         right[: i + 1] = i
         left[i + 1:] = i
         right[i + 1:] = np.arange(i)
-        rows = mult[graphs[left].astype(np.intp) * nn + graphs[right].astype(np.intp)]
-        if n <= 8:
-            # pack rows into single integers; uint64 unique sorts far
-            # faster than the void-dtype row sort of unique(axis=0)
-            padded = np.zeros((k, 8), dtype=np.uint8)
-            padded[:, :n] = rows
-            _, first, inv = np.unique(padded.reshape(-1).view(np.uint64),
-                                      return_index=True, return_inverse=True)
-        else:
-            _, first, inv = np.unique(rows, axis=0, return_index=True,
-                                      return_inverse=True)
-        inv = inv.reshape(-1)
-        res = np.empty(len(first), dtype=np.intp)
+        # result rows, zero-padded to whole 64-bit words
+        packed = np.zeros((k, width), dtype=np.uint8)
+        rows = packed[:, :n]
+        rows[:] = mult[graphs[left].astype(np.intp) * nn + graphs[right].astype(np.intp)]
+        # dedupe the batch: sort the rows stably by their words, so equal
+        # rows form runs of the sorted order, starting at heads, and the
+        # stable sort puts each run's earliest pair, first[u], at its head
+        words = packed.view(np.uint64)
+        order = np.lexsort(words.T)
+        ordered = words[order]
+        start = np.ones(k, dtype=bool)
+        start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        heads = np.flatnonzero(start)
+        first = order[heads]
+        res = np.empty(len(first), dtype=np.intp)  # run -> op index
+        # runs in the order of their earliest pair: ops keep discovery order
         for u in np.argsort(first, kind="stable"):
             p = int(first[u])
             key = rows[p].tobytes()
@@ -379,7 +386,9 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
             res[u] = op
         if budget_hit:
             break
-        np.maximum.at(seeds, res[inv], level[right])
+        # runs have distinct graphs, so res holds distinct ops
+        seeds[res] = np.maximum(seeds[res],
+                                np.maximum.reduceat(level[right][order], heads))
         done += 1
 
     if budget_hit and exact:

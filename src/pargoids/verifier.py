@@ -155,19 +155,25 @@ def typing_isomorphic(t1, t2):
     """Whether a bijective ground renaming maps t1's assignment onto t2's."""
     if len(t1.types) != len(t2.types):
         raise InputError("typings cover different carriers")
+    # each pair of (interned) subterms is matched once, so shared
+    # subterms cost their DAG size, not their tree size
     fwd, bwd = {}, {}
-
-    def unify(x, y):
+    seen = set()
+    stack = list(zip(t1.types, t2.types))
+    while stack:
+        pair = stack.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        x, y = pair
         if isinstance(x, Arrow) != isinstance(y, Arrow):
             return False
         if isinstance(x, Arrow):
-            return (unify(x.antecedent, y.antecedent)
-                    and unify(x.consequent, y.consequent))
-        if fwd.setdefault(x.name, y.name) != y.name:
+            stack += ((x.antecedent, y.antecedent), (x.consequent, y.consequent))
+        elif (fwd.setdefault(x.name, y.name) != y.name
+              or bwd.setdefault(y.name, x.name) != x.name):
             return False
-        return bwd.setdefault(y.name, x.name) == x.name
-
-    return all(unify(x, y) for x, y in zip(t1.types, t2.types))
+    return True
 
 
 def parse_typing(g, data):

@@ -6,7 +6,7 @@ agreement is evidence rather than tautology.
 """
 from pathlib import Path
 
-from pargoids import generators, pargoid, polyclone
+from pargoids import generators, pargoid, polyclone, types
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -106,6 +106,50 @@ def brute_force_clone_graphs(g):
         if not new:
             return graphs
         graphs |= new
+
+
+def worklist_clone_graphs(g):
+    """Clone graphs in the documented discovery order, one product at a time.
+
+    Identity, then each constant map, then for the op under work, i, the
+    products ops[j].ops[i] for j <= i followed by ops[i].ops[j] for j < i;
+    a graph is numbered when first seen.
+    """
+    n = g.size
+    order = []
+    seen = set()
+
+    def add(graph):
+        if graph not in seen:
+            seen.add(graph)
+            order.append(graph)
+
+    add(tuple(range(n)))
+    for b in range(n):
+        add((b,) * n)
+    i = 0
+    while i < len(order):
+        for j in range(i + 1):
+            add(pointwise(g, order[j], order[i]))
+        for j in range(i):
+            add(pointwise(g, order[i], order[j]))
+        i += 1
+    return order
+
+
+def doubling_chain(n):
+    """a_k a_(k-1) = a_(k-1): typable, and the type of a_k has 2^(k+1) - 1 nodes."""
+    return pargoid.Pargoid(tuple(f"a{i}" for i in range(n)),
+                           {(k, k - 1): k - 1 for k in range(1, n)})
+
+
+def doubling_type(k, ground="g0"):
+    """T_0 = ground, T_(i+1) = T_i -> T_i: a DAG of k + 1 terms whose tree
+    has 2^(k+1) - 1 nodes."""
+    t = types.Ground(ground)
+    for _ in range(k):
+        t = types.Arrow(t, t)
+    return t
 
 
 def brute_force_partition(g, graphs=None):

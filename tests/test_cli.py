@@ -9,7 +9,8 @@ import jsonschema
 import pytest
 
 import pargoids
-from pargoids import cli
+from pargoids import cli, typability
+from pargoids.errors import InternalError
 
 import oracles
 
@@ -136,6 +137,30 @@ def test_verify_rejects_altered_typing(tmp_path):
     check_schema(doc, "verify.schema.json")
     assert doc["accepted"] is False
     assert doc["checks"]["axiom1_forward"] is False
+
+
+def test_verify_labels_literal_totality_as_informational(tmp_path):
+    # strongly typable, but the constructed typing puts e0 and e4 under
+    # one ground, so e3 e2 matches by type and diverges
+    pgd = tmp_path / "s71209.pgd"
+    code, out, _ = run(["gen", "--seed", "71209", "--size", "8", "--density", "0.05"])
+    pgd.write_text(out)
+    code, out, _ = run(["type", str(pgd)])
+    assert code == 0
+    typing = tmp_path / "s71209.json"
+    typing.write_text(out)
+    line = ("e3 e2 diverges despite matching types (g6 -> g0) -> g0 "
+            "and g6 -> g0\n")
+    code, out, _ = run(["verify", str(pgd), str(typing)])
+    assert code == 0
+    assert out == "accepted\naxiom1-totality (informational; literal mode): " + line
+    code, out, _ = run(["verify", str(pgd), str(typing), "--strong"])
+    assert code == 1
+    assert out == "rejected\naxiom1-totality: " + line
+    code, out, _ = run(["verify", str(pgd), str(typing), "--json"])
+    assert code == 0
+    assert json.loads(out)["failures"] == [
+        {"check": "axiom1-totality", "detail": line.rstrip("\n")}]
 
 
 def test_clone_listing():
@@ -298,17 +323,30 @@ def _typing_of_a(t):
     ("decide", "list.json", b'{"elements":["a","b"],"products":[[["a"],"b","a"]]}'),
     ("decide", "scalar.json", b'{"elements":["a"],"products":5}'),
     ("decide", "latin1.pgd", b"elements: a\xff b\n"),
-    ("verify", "parens.json", _typing_of_a(DEEP_PARENS)),
-    ("verify", "chain.json", _typing_of_a(LONG_CHAIN)),
-], ids=["list-in-product", "scalar-products", "non-utf8", "deep-parens", "long-chain"])
+], ids=["list-in-product", "scalar-products", "non-utf8"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, command, name, data):
     path = tmp_path / name
     path.write_bytes(data)
-    argv = [command, SIX, str(path)] if command == "verify" else [command, str(path)]
-    proc = subprocess.run([sys.executable, "-m", "pargoids.cli"] + argv,
+    proc = subprocess.run([sys.executable, "-m", "pargoids.cli", command, str(path)],
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", [DEEP_PARENS, LONG_CHAIN],
+                         ids=["deep-parens", "long-chain"])
+def test_deeply_nested_typing_is_rejected_without_traceback(tmp_path, text):
+    # well-formed typings, however deep: a's type is the ground g or a
+    # 900-arrow chain, and either one breaks the product a b = ab
+    path = tmp_path / "typing.json"
+    path.write_bytes(_typing_of_a(text))
+    proc = subprocess.run([sys.executable, "-m", "pargoids.cli", "verify", SIX, str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("rejected\n")
+    assert any(line.startswith("axiom1-forward: a b = ab: ")
+               for line in proc.stdout.splitlines())
     assert "Traceback" not in proc.stderr
 
 
@@ -320,6 +358,17 @@ def test_exit_code_resource_exhaustion():
     assert code == 3
     code, _, _ = run(["claim-star", SIX, "--budget", "7"])
     assert code == 3
+
+
+def test_internal_error_exits_4(monkeypatch):
+    def broken(g, varpi):
+        raise InternalError("application order contains a cycle")
+
+    monkeypatch.setattr(typability, "construct_typing", broken)
+    code, out, err = run(["decide", SIX])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: application order contains a cycle\n"
 
 
 def test_budget_env_variable(monkeypatch):

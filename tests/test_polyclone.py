@@ -109,25 +109,42 @@ def test_clone_single_element():
     assert clone.ops[1].graph == (None,)
 
 
+# carriers on either side of the 8- and 16-element boundaries, where a
+# clone row spans one, two or three 64-bit words
+WORD_BOUNDARY_SIZES = (8, 9, 16, 17)
+
+
+def word_boundary_inputs(seed0, densities=(0.05, 0.1)):
+    """Sparse tables and doubling chains at the word boundaries."""
+    tables = oracles.arbitrary_batch(8, WORD_BOUNDARY_SIZES, densities, seed0)
+    return ([g for _, g in tables]
+            + [oracles.doubling_chain(n) for n in WORD_BOUNDARY_SIZES])
+
+
 def test_clone_op_numbering():
-    for _, g in oracles.arbitrary_batch(10, (2, 4, 6), (0.2, 0.6), 7200):
-        clone = compute_clone(g)
+    inputs = [g for _, g in oracles.arbitrary_batch(10, (2, 4, 6), (0.2, 0.6), 7200)]
+    inputs += word_boundary_inputs(7800, (0.1, 0.15))
+    for g in inputs:
+        clone = compute_clone(g, budget=1024)
         assert clone.ops[0].graph == tuple(range(g.size))
         for b in range(g.size):
             assert clone.ops[1 + b].graph == (b,) * g.size
+        if not clone.budget_hit:
+            assert [op.graph for op in clone.ops] == oracles.worklist_clone_graphs(g)
 
 
 def test_clone_matches_brute_force():
     fixtures = [oracles.three(), oracles.six(), oracles.void2(), oracles.chain3(), quad()]
     randoms = [g for _, g in oracles.arbitrary_batch(12, (2, 3, 4), (0.2, 0.5, 0.8), 7300)]
-    for g in fixtures + randoms:
+    for g in fixtures + randoms + word_boundary_inputs(7600):
         clone = compute_clone(g)
         assert not clone.budget_hit
         assert {op.graph for op in clone.ops} == oracles.brute_force_clone_graphs(g)
 
 
 def test_witnesses_evaluate_to_graphs():
-    for _, g in oracles.arbitrary_batch(15, (2, 3, 5), (0.2, 0.5, 0.8), 7400):
+    inputs = [g for _, g in oracles.arbitrary_batch(15, (2, 3, 5), (0.2, 0.5, 0.8), 7400)]
+    for g in inputs + word_boundary_inputs(7700, (0.05, 0.1, 0.15)):
         clone = compute_clone(g, budget=3000)
         if clone.budget_hit:
             continue

@@ -131,6 +131,26 @@ def test_typing_isomorphic():
         typing_isomorphic(t_split, six_typing(g))
 
 
+def test_verify_and_isomorphism_on_deep_types():
+    g = oracles.six()
+    chain = parse_type(" -> ".join(["g"] * 901))
+    types = [Ground("g")] * g.size
+    types[g.element("a").index] = chain
+    report = verify(g, Typing(tuple(types), {}), "strong")
+    assert not report.accepted
+    assert not report.axiom1_forward_ok and not report.strictness_ok
+    assert "a b = ab: product has type g, expected g -> g" in "".join(
+        v.detail for v in report.failures)
+
+    # tree size 2^61 - 1; matched pair by pair, not node by node
+    deep = Typing((oracles.doubling_type(60, "u"), Ground("u")), {})
+    renamed = Typing((oracles.doubling_type(60, "w"), Ground("w")), {})
+    assert typing_isomorphic(deep, renamed)
+    for other in (Typing((oracles.doubling_type(60, "w"), Ground("u")), {}),
+                  Typing((oracles.doubling_type(59, "w"), Ground("w")), {})):
+        assert not typing_isomorphic(deep, other)
+
+
 def test_parse_typing_errors():
     g = oracles.void2()
     with pytest.raises(InputError):
