@@ -5,39 +5,43 @@ decides whether a pargoid admits a typing by arrow types, constructs the
 typing when it exists, and otherwise produces a certificate — an
 application-order cycle or a definite-operation violation — that can be
 re-checked against the product table alone.
+
+The names below are loaded on first use (PEP 562), so importing the
+package, or a submodule that needs no clone, does not import numpy.
 """
 
-from .congruence import Partition, is_congruence, leibniz, make_partition, separator
-from .errors import InputError, InternalError, PargoidError, ResourceExhausted
-from .generators import GenConfig, SplitMix64, gen_arbitrary, gen_typed
-from .pargoid import (ElementId, Pargoid, apply, less_than, parse,
-                      product_triples, serialize)
-from .polyclone import (DEFAULT_BUDGET, VAR, CloneResult, Const, Prod,
-                        UnaryPolyOp, Var, classify, compute_clone, eval_term,
-                        format_term, lemma2_check, parse_term, term_graph,
-                        term_size)
-from .typability import (Certificate, ClaimStarReport, Cycle, Decision,
-                         DefiniteViolation, Typable, Untypable,
-                         check_claim_star, check_condition_i,
-                         check_condition_ii, construct_typing, decide,
-                         validate_certificate)
-from .types import (Arrow, Ground, TypeTerm, Typing, format_type, parse_type,
-                    strict_closure_check, type_size)
-from .verifier import (VerifyReport, lemma1_check, parse_typing,
-                       serialize_typing, typing_isomorphic, verify)
+import importlib
 
-__all__ = [
-    "Arrow", "Certificate", "ClaimStarReport", "CloneResult", "Const",
-    "Cycle", "DEFAULT_BUDGET", "Decision", "DefiniteViolation", "ElementId",
-    "GenConfig", "Ground", "InputError", "InternalError", "Pargoid",
-    "PargoidError", "Partition", "Prod", "ResourceExhausted", "SplitMix64",
-    "Typable", "TypeTerm", "Typing", "UnaryPolyOp", "Untypable", "VAR",
-    "Var", "VerifyReport", "apply", "check_claim_star", "check_condition_i",
-    "check_condition_ii", "classify", "compute_clone", "construct_typing",
-    "decide", "eval_term", "format_term", "format_type", "gen_arbitrary",
-    "gen_typed", "is_congruence", "leibniz", "lemma1_check", "lemma2_check",
-    "less_than", "make_partition", "parse", "parse_term", "parse_type",
-    "parse_typing", "product_triples", "separator", "serialize",
-    "serialize_typing", "strict_closure_check", "term_graph", "term_size",
-    "type_size", "typing_isomorphic", "validate_certificate", "verify",
-]
+# submodule -> the public names it defines
+_MODULES = {
+    "congruence": ("Partition", "is_congruence", "leibniz", "make_partition",
+                   "separator"),
+    "defaults": ("DEFAULT_BUDGET",),
+    "errors": ("InputError", "InternalError", "PargoidError", "ResourceExhausted"),
+    "generators": ("GenConfig", "SplitMix64", "gen_arbitrary", "gen_typed"),
+    "pargoid": ("ElementId", "Pargoid", "apply", "less_than", "parse",
+                "product_triples", "serialize"),
+    "polyclone": ("VAR", "CloneResult", "Const", "Prod", "UnaryPolyOp", "Var",
+                  "classify", "compute_clone", "eval_term", "format_term",
+                  "lemma2_check", "parse_term", "term_graph", "term_size"),
+    "typability": ("Certificate", "ClaimStarReport", "Cycle", "Decision",
+                   "DefiniteViolation", "Typable", "Untypable",
+                   "check_claim_star", "check_condition_i", "check_condition_ii",
+                   "construct_typing", "decide", "validate_certificate"),
+    "types": ("Arrow", "Ground", "TypeTerm", "Typing", "format_type",
+              "parse_type", "strict_closure_check", "type_size"),
+    "verifier": ("VerifyReport", "lemma1_check", "parse_typing",
+                 "serialize_typing", "typing_isomorphic", "verify"),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -6,6 +6,9 @@ exhausted, 4 internal error (a bug alarm, never a verdict). JSON outputs
 carry "schema": 1 and validate against the files shipped in
 pargoids/schemas/. In literal mode, verify's text output labels totality
 failures as informational, since they do not decide acceptance.
+
+The numpy-backed modules (polyclone, typability, congruence) are imported
+by the subcommands that compute a clone, so verify and gen load no numpy.
 """
 from __future__ import annotations
 
@@ -14,7 +17,8 @@ import json
 import os
 import sys
 
-from . import congruence, generators, pargoid, polyclone, typability, verifier
+from . import generators, pargoid, verifier
+from .defaults import DEFAULT_BUDGET, READINGS
 from .errors import InputError, InternalError
 from .errors import ResourceExhausted as ResourceExhaustedError
 from .types import format_type
@@ -50,7 +54,7 @@ def _budget(args):
             return int(env)
         except ValueError:
             raise InputError(f"PARGOID_BUDGET must be an integer, got {env!r}") from None
-    return polyclone.DEFAULT_BUDGET
+    return DEFAULT_BUDGET
 
 
 def _emit(text):
@@ -62,6 +66,7 @@ def _emit_json(doc):
 
 
 def _op_json(g, op):
+    from . import polyclone
     return {
         "graph": {g.names[i]: (None if v is None else g.names[v])
                   for i, v in enumerate(op.graph)},
@@ -77,6 +82,7 @@ def _format_cycle(cert):
 
 
 def _cmd_decide(args):
+    from . import polyclone, typability
     g = _load_pargoid(args.pargoid)
     decision = typability.decide(g, _budget(args), args.reading)
     if isinstance(decision, typability.Typable):
@@ -119,6 +125,7 @@ def _cmd_decide(args):
 
 
 def _cmd_type(args):
+    from . import typability
     g = _load_pargoid(args.pargoid)
     decision = typability.decide(g, _budget(args), args.reading)
     if isinstance(decision, typability.Typable):
@@ -161,11 +168,13 @@ def _cmd_verify(args):
 
 
 def _closed_clone(g, args):
+    from . import polyclone
     clone = polyclone.compute_clone(g, _budget(args), exact=True)
     return polyclone.classify(clone, args.reading)
 
 
 def _cmd_clone(args):
+    from . import polyclone
     g = _load_pargoid(args.pargoid)
     clone = _closed_clone(g, args)
     if args.json:
@@ -189,6 +198,7 @@ def _cmd_clone(args):
 
 
 def _cmd_congruence(args):
+    from . import congruence, polyclone
     g = _load_pargoid(args.pargoid)
     clone = polyclone.compute_clone(g, _budget(args), exact=True)
     part = congruence.leibniz(g, clone)
@@ -223,6 +233,7 @@ def _cmd_gen(args):
 
 
 def _cmd_stats(args):
+    from . import congruence, polyclone, typability
     budget = _budget(args)
     _emit("seed,n,density,verdict,certificate_kind,clone_size,"
           "class_count,strong_totality\n")
@@ -256,6 +267,7 @@ def _cmd_stats(args):
 
 
 def _cmd_claim_star(args):
+    from . import congruence, polyclone, typability
     g = _load_pargoid(args.pargoid)
     clone = _closed_clone(g, args)
     varpi = congruence.leibniz(g, clone)
@@ -320,9 +332,9 @@ def _build_parser():
                         help="emit structured JSON")
     common.add_argument("--budget", type=int, default=None, metavar="N",
                         help="max clone op count (default: PARGOID_BUDGET or "
-                             f"{polyclone.DEFAULT_BUDGET})")
+                             f"{DEFAULT_BUDGET})")
     common.add_argument("--constant-reading", dest="reading",
-                        choices=polyclone.READINGS, default="total",
+                        choices=READINGS, default="total",
                         help="which maps count as constant operations")
     common.add_argument("--seed", type=int, default=0,
                         help="generator seed")

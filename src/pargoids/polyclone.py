@@ -7,27 +7,33 @@ deduplicated by graph, and each operation keeps the first term that
 produced it as a witness.
 
 Closure is a worklist fixpoint over graphs, vectorized with numpy: graphs
-are uint8 matrix rows using the carrier size as the "undefined" sentinel,
-so one fancy-indexed lookup computes a whole batch of pointwise products.
-A batch is deduplicated by one stable sort: each result row, zero-padded
-to whole 64-bit words, is sorted by its words, and equal rows then form
-runs headed by their earliest pair, for every carrier size.
+are rows of carrier indices using the carrier size as the "undefined"
+sentinel, so one fancy-indexed lookup computes a whole batch of pointwise
+products. The worklist order fixes the op numbering: op i contributes the
+pairs (0..i, i) then (i, 0..i-1), and each new graph is numbered at its
+earliest pair. A batch takes the ops already found but not yet worked,
+with their pairs in that order, as many as fit in 4,096 pairs but at
+least one. Its pairs involve only ops found before it, so batching
+leaves the numbering as it is. One stable sort dedupes a batch: each
+result row, zero-padded to whole 64-bit words, is sorted by its words,
+and equal rows then form runs headed by their earliest pair. Each run's
+graph is looked up once; the new ones are numbered in order of their
+earliest pairs, up to the op budget.
 Products are not stored: besides its graph, each op keeps one level and
 one seed byte, so memory is linear in the op count and the op budget is
 the only bound. Products needed later are recomputed on demand.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_BUDGET, READINGS
 from .errors import InputError, InternalError, ResourceExhausted
 from .pargoid import ElementId, _ix, apply
-
-DEFAULT_BUDGET = 8192
-READINGS = ("total", "on-domain")
 
 # uint8 graphs reserve one value for the undefined sentinel
 MAX_CARRIER = 255
@@ -39,6 +45,11 @@ _NONCONSTANT_LEVEL = {"total": 1, "on-domain": 2}
 
 # products are computed in chunks of at most this many result cells
 _PRODUCT_CHUNK = 1 << 20
+
+# a closure batch holds at most this many pairs, or one op's pairs when
+# they are more; it bounds a batch's arrays and the work done past a
+# reached budget
+_PAIR_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -286,8 +297,13 @@ class CloneResult:
         return int(r[0]) if r.size else None
 
 
-def _graph_tuple(row, undef):
-    return tuple(None if v == undef else int(v) for v in row)
+def _levels(rows, undef):
+    """Level of each graph row: 0 for a total constant map, 1 for a map
+    constant on its domain only (the empty map included), 2 otherwise."""
+    defined = rows != undef
+    top = np.where(defined, rows, 0).max(axis=1)
+    bottom = np.where(defined, rows, undef).min(axis=1)
+    return np.where(top > bottom, 2, ~defined.all(axis=1)).astype(np.int8)
 
 
 def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
@@ -295,12 +311,17 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
 
     Ops are numbered in discovery order: identity, then the constant map of
     each element (skipping graph duplicates), then products in worklist
-    order — for the op under work, pairs (earlier, it) before (it, earlier).
-    The budget counts ops, not products; reaching it sets budget_hit, or
-    raises when the caller asked for exactness. Each op also records its
-    level (0 total constant, 1 constant on its domain only, 2 nonconstant)
-    and its seed: the highest level of a right factor q over the pairs p·q
-    that produce it. classify reads the definite seeds off the latter.
+    order — for op i, the pairs (j, i) for j <= i, then (i, j) for j < i.
+    The pairs are evaluated in batches: each takes the next ops in order,
+    as far as the ops already found reach and as many as fit in _PAIR_CAP
+    pairs, but at least one. New graphs are numbered in order of their
+    earliest pair, which is the numbering of one product at a time.
+    The budget counts ops, not products: once it is reached, the next new
+    graph sets budget_hit and the closure stops there, or raises when the
+    caller asked for exactness. Each op also records its level (0 total
+    constant, 1 constant on its domain only, 2 nonconstant) and its seed:
+    the highest level of a right factor q over the pairs p·q that produce
+    it. classify reads the definite seeds off the latter.
     """
     n = g.size
     if n > MAX_CARRIER:
@@ -313,45 +334,40 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     for (a, b), c in g.table.items():
         mult[a * nn + b] = c
 
+    # graphs widened to indices once, as they are recorded
     cap = 256  # holds the n + 1 seed ops, as n <= MAX_CARRIER
-    graphs = np.full((cap, n), undef, dtype=np.uint8)
-    level = np.zeros(cap, dtype=np.int8)
+    wide = np.empty((cap, n), dtype=np.intp)
+    level = np.empty(cap, dtype=np.int8)
     seeds = np.zeros(cap, dtype=np.int8)
     witnesses = []
     index = {}
-    m = 0
-
-    def seed(row, term):
-        nonlocal m
-        key = row.tobytes()
+    for row, term in [(range(n), VAR)] + [((e,) * n, Const(g.element(e)))
+                                           for e in range(n)]:
+        key = bytes(row)
         if key not in index:
-            graphs[m] = row
-            index[key] = m
+            index[key] = len(witnesses)
+            wide[len(witnesses)] = row
             witnesses.append(term)
-            m += 1
-
-    seed(np.arange(n, dtype=np.uint8), VAR)
-    for e in range(n):
-        seed(np.full(n, e, dtype=np.uint8), Const(g.element(e)))
+    m = len(witnesses)
+    level[:m] = _levels(wide[:m], undef)
 
     width = 8 * -(-n // 8)  # bytes in a row padded to whole 64-bit words
     budget_hit = False
     done = 0
     while done < m:
-        i = done
-        values = set(graphs[i].tolist())
-        level[i] = 2 if len(values - {undef}) > 1 else int(undef in values)
-        k = 2 * i + 1
-        left = np.empty(k, dtype=np.intp)
-        right = np.empty(k, dtype=np.intp)
-        left[: i + 1] = np.arange(i + 1)
-        right[: i + 1] = i
-        left[i + 1:] = i
-        right[i + 1:] = np.arange(i)
+        # ops [done, end) give end² - done² pairs
+        end = min(m, max(done + 1, math.isqrt(done * done + _PAIR_CAP)))
+        span = np.arange(done, end)
+        op = np.repeat(span, 2 * span + 1)
+        k = len(op)
+        t = np.arange(k) + (done * done - op * op)  # place in the op's pairs
+        lead = t <= op
+        left = np.where(lead, t, op)
+        right = np.where(lead, op, t - op - 1)
         # result rows, zero-padded to whole 64-bit words
         packed = np.zeros((k, width), dtype=np.uint8)
         rows = packed[:, :n]
-        rows[:] = mult[graphs[left].astype(np.intp) * nn + graphs[right].astype(np.intp)]
+        rows[:] = mult[wide[left] * nn + wide[right]]
         # dedupe the batch: sort the rows stably by their words, so equal
         # rows form runs of the sorted order, starting at heads, and the
         # stable sort puts each run's earliest pair, first[u], at its head
@@ -362,43 +378,51 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
         start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
         heads = np.flatnonzero(start)
         first = order[heads]
-        res = np.empty(len(first), dtype=np.intp)  # run -> op index
-        # runs in the order of their earliest pair: ops keep discovery order
-        for u in np.argsort(first, kind="stable"):
-            p = int(first[u])
-            key = rows[p].tobytes()
-            op = index.get(key)
-            if op is None:
-                if m >= budget:
-                    budget_hit = True
-                    break
-                if m == cap:
-                    cap *= 2
-                    graphs = np.resize(graphs, (cap, n))
-                    level = np.resize(level, cap)
-                    seeds = np.resize(seeds, cap)
-                    seeds[m:] = 0  # np.resize fills by repeating
-                op = m
-                graphs[m] = rows[p]
-                index[key] = m
-                witnesses.append(Prod(witnesses[int(left[p])], witnesses[int(right[p])]))
+        # runs in the order of their earliest pair: ops keep discovery order;
+        # each run's graph is looked up once
+        rank = np.argsort(first)
+        earliest = first[rank]
+        data = rows[earliest].tobytes()
+        found = [index.get(data[s:s + n]) for s in range(0, len(data), n)]
+        new = [r for r, f in enumerate(found) if f is None]
+        # the closure stops at the earliest pair of the first new graph
+        # past the budget
+        if len(new) > budget - m:
+            budget_hit = True
+            del new[budget - m:]
+        if new:
+            if m + len(new) > cap:
+                cap = max(2 * cap, m + len(new))
+                wide = np.resize(wide, (cap, n))
+                level = np.resize(level, cap)
+                seeds = np.resize(seeds, cap)
+            pairs = earliest[new]
+            for r, p, q in zip(new, left[pairs].tolist(), right[pairs].tolist()):
+                index[data[r * n:(r + 1) * n]] = found[r] = m
+                witnesses.append(Prod(witnesses[p], witnesses[q]))
                 m += 1
-            res[u] = op
+            fresh = rows[pairs]
+            wide[m - len(new):m] = fresh
+            level[m - len(new):m] = _levels(fresh, undef)
+            seeds[m - len(new):m] = 0
         if budget_hit:
             break
+        res = np.empty(len(heads), dtype=np.intp)  # run -> op index
+        res[rank] = found
         # runs have distinct graphs, so res holds distinct ops
         seeds[res] = np.maximum(seeds[res],
                                 np.maximum.reduceat(level[right][order], heads))
-        done += 1
+        done = end
 
     if budget_hit and exact:
         raise ResourceExhausted("clone", budget)
-    graphs, level, seeds = graphs[:m].copy(), level[:m].copy(), seeds[:m].copy()
+    graphs = wide[:m].astype(np.uint8)
+    level, seeds = level[:m].copy(), seeds[:m].copy()
     for arr in (mult, graphs, level, seeds):
         arr.setflags(write=False)
-    ops = tuple(
-        UnaryPolyOp(_graph_tuple(graphs[i], undef), witnesses[i]) for i in range(m)
-    )
+    values = list(range(n)) + [None]
+    ops = tuple(UnaryPolyOp(tuple(map(values.__getitem__, row)), term)
+                for row, term in zip(graphs.tolist(), witnesses))
     return CloneResult(ops, budget_hit, None, n, graphs, mult, level, seeds, index)
 
 

@@ -287,9 +287,13 @@ def check_claim_star(g, clone, varpi):
             if eq and not co[a][c] and onlyif_ce is None:
                 onlyif_ok, onlyif_ce = False, (g.element(a), g.element(c))
 
-    successors = [sorted({c for (x, _), c in g.table.items() if x == e})
-                  for e in range(n)]
-    row_total = [all((e, b) in g.table for b in range(n)) for e in range(n)]
+    products = [set() for _ in range(n)]
+    row_len = [0] * n
+    for (e, _), c in g.table.items():
+        products[e].add(c)
+        row_len[e] += 1
+    successors = [sorted(s) for s in products]
+    row_total = [k == n for k in row_len]
     div_ok, div_ce = True, None
     for s in range(n):
         seen = {s}

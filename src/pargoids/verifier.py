@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import congruence
 from .errors import InputError
 from .pargoid import decode
 from .types import Arrow, Typing, format_type, parse_type, strict_closure_check
@@ -141,6 +140,7 @@ def lemma1_check(g, typing, clone, varpi):
     Returns (True, None) or (False, (a, b, separating op)) for the first
     same-type pair in different blocks.
     """
+    from . import congruence  # numpy-backed; verify itself loads no numpy
     n = g.size
     for a in range(n):
         for b in range(a + 1, n):

@@ -108,12 +108,15 @@ def brute_force_clone_graphs(g):
         graphs |= new
 
 
-def worklist_clone_graphs(g):
-    """Clone graphs in the documented discovery order, one product at a time.
+def worklist_clone(g):
+    """Clone graphs in the documented discovery order, one product at a time,
+    and the generations of that worklist.
 
     Identity, then each constant map, then for the op under work, i, the
     products ops[j].ops[i] for j <= i followed by ops[i].ops[j] for j < i;
-    a graph is numbered when first seen.
+    a graph is numbered when first seen. Generation 0 is the seed ops;
+    generation k + 1 is the ops first seen while working generation k.
+    Each is a half-open op range (lo, hi).
     """
     n = g.size
     order = []
@@ -127,14 +130,17 @@ def worklist_clone_graphs(g):
     add(tuple(range(n)))
     for b in range(n):
         add((b,) * n)
+    generations = [(0, len(order))]
     i = 0
     while i < len(order):
+        if i == generations[-1][1]:
+            generations.append((i, len(order)))
         for j in range(i + 1):
             add(pointwise(g, order[j], order[i]))
         for j in range(i):
             add(pointwise(g, order[i], order[j]))
         i += 1
-    return order
+    return order, generations
 
 
 def doubling_chain(n):

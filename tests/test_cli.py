@@ -350,6 +350,27 @@ def test_deeply_nested_typing_is_rejected_without_traceback(tmp_path, text):
     assert "Traceback" not in proc.stderr
 
 
+def _imported_modules(argv):
+    """Exit code, stdout and the top-level packages a CLI process imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pargoids.cli",
+                           *argv], capture_output=True, text=True)
+    names = {line.rsplit("|", 1)[1].strip().split(".")[0]
+             for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, names
+
+
+def test_verify_process_loads_no_numpy():
+    code, out, modules = _imported_modules(["verify", SIX, SIX_TYPING])
+    assert code == 0
+    assert out == "accepted\n"
+    assert "pargoids" in modules
+    assert "numpy" not in modules
+    # decide computes a clone, which needs numpy
+    code, _, modules = _imported_modules(["decide", SIX])
+    assert code == 0
+    assert "numpy" in modules
+
+
 def test_exit_code_resource_exhaustion():
     code, _, err = run(["clone", THREE, "--budget", "4"])
     assert code == 3

@@ -121,16 +121,39 @@ def word_boundary_inputs(seed0, densities=(0.05, 0.1)):
             + [oracles.doubling_chain(n) for n in WORD_BOUNDARY_SIZES])
 
 
+def wide_generation_input():
+    """A 16-element table with generations of 6,300 and 5,945 pairs: more
+    than one closure batch holds, so batches end inside them."""
+    return oracles.arbitrary_batch(1, (16,), (0.1,), 9023)[0][1]
+
+
 def test_clone_op_numbering():
     inputs = [g for _, g in oracles.arbitrary_batch(10, (2, 4, 6), (0.2, 0.6), 7200)]
     inputs += word_boundary_inputs(7800, (0.1, 0.15))
-    for g in inputs:
+    wide = wide_generation_input()
+    _, generations = oracles.worklist_clone(wide)
+    assert any(hi * hi - lo * lo > polyclone._PAIR_CAP for lo, hi in generations)
+    for g in inputs + [wide]:
         clone = compute_clone(g, budget=1024)
         assert clone.ops[0].graph == tuple(range(g.size))
         for b in range(g.size):
             assert clone.ops[1 + b].graph == (b,) * g.size
         if not clone.budget_hit:
-            assert [op.graph for op in clone.ops] == oracles.worklist_clone_graphs(g)
+            assert [op.graph for op in clone.ops] == oracles.worklist_clone(g)[0]
+
+
+def test_truncated_clone_is_a_prefix():
+    # each budget stops the closure at its own pair, wherever it falls
+    # in a batch
+    for g in word_boundary_inputs(8501, (0.05,)) + [wide_generation_input()]:
+        closed = compute_clone(g)
+        m = closed.op_count
+        terms = [format_term(op.witness) for op in closed.ops]
+        for budget in range(g.size + 1, m + 1):
+            clone = compute_clone(g, budget)
+            assert clone.budget_hit == (budget < m)
+            assert [op.graph for op in clone.ops] == [op.graph for op in closed.ops[:budget]]
+            assert [format_term(op.witness) for op in clone.ops] == terms[:budget]
 
 
 def test_clone_matches_brute_force():
