@@ -211,14 +211,14 @@ def _cmd_congruence(args):
     return EXIT_OK
 
 
-def _gen_config(args):
+def _gen_config(args, seed):
     return generators.GenConfig(
-        size=args.size, seed=args.seed, mode=args.mode, density=args.density,
+        size=args.size, seed=seed, mode=args.mode, density=args.density,
         type_depth=args.type_depth, ground_count=args.ground_count)
 
 
 def _cmd_gen(args):
-    cfg = _gen_config(args)
+    cfg = _gen_config(args, args.seed)
     if cfg.mode == "arbitrary":
         if args.with_typing:
             raise InputError("arbitrary mode generates no typing")
@@ -238,9 +238,7 @@ def _cmd_stats(args):
     _emit("seed,n,density,verdict,certificate_kind,clone_size,"
           "class_count,strong_totality\n")
     for s in range(args.seed, args.seed + args.count):
-        cfg = generators.GenConfig(
-            size=args.size, seed=s, mode=args.mode, density=args.density,
-            type_depth=args.type_depth, ground_count=args.ground_count)
+        cfg = _gen_config(args, s)
         if cfg.mode == "arbitrary":
             g = generators.gen_arbitrary(cfg)
         else:

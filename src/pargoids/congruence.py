@@ -88,8 +88,6 @@ def separator(g, clone, a, c):
     """
     if clone.budget_hit:
         raise InputError("separator search needs a fully closed clone")
-    i, j = _ix(g, a), _ix(g, c)
-    for op in clone.ops:
-        if (op.graph[i] is None) != (op.graph[j] is None):
-            return op
-    return None
+    cols = clone.graphs[:, [_ix(g, a), _ix(g, c)]] != clone.carrier_size
+    differs = cols[:, 0] != cols[:, 1]
+    return clone.op(int(differs.argmax())) if differs.any() else None

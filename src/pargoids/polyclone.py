@@ -9,31 +9,31 @@ produced it as a witness.
 Closure is a worklist fixpoint over graphs, vectorized with numpy: graphs
 are rows of carrier indices using the carrier size as the "undefined"
 sentinel, so one fancy-indexed lookup computes a whole batch of pointwise
-products. The worklist order fixes the op numbering: op i contributes the
-pairs (0..i, i) then (i, 0..i-1), and each new graph is numbered at its
-earliest pair. A batch takes the ops already found but not yet worked,
-with their pairs in that order, as many as fit in 4,096 pairs but at
-least one. Its pairs involve only ops found before it, so batching
-leaves the numbering as it is. One stable sort dedupes a batch: each
-result row, zero-padded to whole 64-bit words, is sorted by its words,
-and equal rows then form runs headed by their earliest pair. Each run's
-graph is looked up once; the new ones are numbered in order of their
-earliest pairs, up to the op budget.
-Products are not stored: besides its graph, each op keeps one level and
-one seed byte, so memory is linear in the op count and the op budget is
-the only bound. Products needed later are recomputed on demand.
+products. compute_clone states the worklist order, which fixes the op
+numbering, and how batching keeps it. One stable sort dedupes a batch:
+each result row, zero-padded to whole 64-bit words, is sorted by its
+words, so equal rows form runs headed by their earliest pair, and each
+run's graph is looked up once.
+
+A clone is its arrays: the graphs, each op's witness term, and one level
+and one seed byte per op, so memory is linear in the op count and the op
+budget is the only bound. Products are not stored but recomputed on
+demand. classify adds boolean masks for the trivial, constant and
+definite ops, which the decision reads with the domain matrix. A
+UnaryPolyOp is built, by CloneResult.op, only for an op that leaves the
+clone: in a certificate, a counterexample or a listing.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .defaults import DEFAULT_BUDGET, READINGS
 from .errors import InputError, InternalError, ResourceExhausted
-from .pargoid import ElementId, _ix, apply
+from .pargoid import ElementId, _ix
 
 # uint8 graphs reserve one value for the undefined sentinel
 MAX_CARRIER = 255
@@ -75,17 +75,8 @@ VAR = Var()
 
 def eval_term(g, t, e):
     """Value of the term at e, or None where evaluation diverges."""
-    if isinstance(t, Var):
-        return g.element(_ix(g, e))
-    if isinstance(t, Const):
-        return g.element(_ix(g, t.value))
-    left = eval_term(g, t.left, e)
-    if left is None:
-        return None
-    right = eval_term(g, t.right, e)
-    if right is None:
-        return None
-    return apply(g, left, right)
+    v = term_graph(g, t)[_ix(g, e)]
+    return None if v is None else g.element(v)
 
 
 def term_graph(g, t):
@@ -206,10 +197,11 @@ def parse_term(g, s):
 
 @dataclass(frozen=True)
 class UnaryPolyOp:
-    """One clone member: value table, first witness term, and flags.
+    """One clone member as CloneResult.op builds it: value table, first
+    witness term, and flags.
 
     graph maps each carrier index to a result index or None. The three
-    flags are meaningful only after classify has run on the owning clone.
+    flags are meaningful only when the op came from a classified clone.
     """
 
     graph: tuple
@@ -222,46 +214,67 @@ class UnaryPolyOp:
     def domain(self):
         return tuple(i for i, v in enumerate(self.graph) if v is not None)
 
-    def converges_on(self, e):
-        return self.graph[e if isinstance(e, int) else e.index] is not None
 
-
+@dataclass(eq=False, slots=True)
 class CloneResult:
-    """Clone ops in construction order, with their graphs and seed levels.
+    """Clone ops in construction order, as arrays.
 
-    Treated as immutable once built; the backing arrays are read-only.
-    reading is None until classify fills the flags.
+    Row i of the read-only graphs array is op i's value table, with the
+    carrier size as the undefined value, and witnesses[i] is its first
+    term. reading is None until classify adds the read-only boolean masks
+    trivial, constant and definite; a classified clone shares the arrays
+    of the clone it came from. op(i) builds op i as a UnaryPolyOp; ops
+    builds them all on first use.
     """
 
-    __slots__ = ("ops", "budget_hit", "reading", "carrier_size",
-                 "_graphs", "_mult", "_level", "_seed", "_index")
+    graphs: np.ndarray
+    witnesses: tuple
+    budget_hit: bool
+    _mult: np.ndarray
+    _level: np.ndarray
+    _seed: np.ndarray
+    _index: dict
+    reading: str | None = None
+    trivial: np.ndarray | None = None
+    constant: np.ndarray | None = None
+    definite: np.ndarray | None = None
+    _ops: tuple | None = field(default=None, init=False, repr=False)
 
-    def __init__(self, ops, budget_hit, reading, carrier_size,
-                 graphs, mult, level, seed, index):
-        self.ops = ops
-        self.budget_hit = budget_hit
-        self.reading = reading
-        self.carrier_size = carrier_size
-        self._graphs = graphs
-        self._mult = mult
-        self._level = level
-        self._seed = seed
-        self._index = index
+    @property
+    def carrier_size(self):
+        return self.graphs.shape[1]
 
     @property
     def op_count(self):
-        return len(self.ops)
+        return len(self.witnesses)
+
+    def op(self, i):
+        """Op i as a UnaryPolyOp, with its flags once classified."""
+        n = self.carrier_size
+        graph = tuple(None if v == n else v for v in self.graphs[i].tolist())
+        flags = () if self.reading is None else (
+            bool(self.trivial[i]), bool(self.constant[i]), bool(self.definite[i]))
+        return UnaryPolyOp(graph, self.witnesses[i], *flags)
+
+    @property
+    def ops(self):
+        """Every op as a UnaryPolyOp, built on first use."""
+        if self._ops is None:
+            self._ops = tuple(map(self.op, range(self.op_count)))
+        return self._ops
 
     def find(self, graph):
         """Index of the op with this graph, or None if absent."""
-        if len(graph) != self.carrier_size:
+        n = self.carrier_size
+        if len(graph) != n:
             raise InputError("graph length does not match the carrier")
-        key = bytes(self.carrier_size if v is None else v for v in graph)
-        return self._index.get(key)
+        if not all(v is None or v in range(n) for v in graph):
+            raise InputError("graph value outside the carrier")
+        return self._index.get(bytes(n if v is None else v for v in graph))
 
     def domains(self):
         """Boolean op-by-element matrix: where each op converges."""
-        return self._graphs != self.carrier_size
+        return self.graphs != self.carrier_size
 
     def seeded(self, reading):
         """Mask of the ops that are some p·q with q nonconstant (closed clones)."""
@@ -275,11 +288,11 @@ class CloneResult:
         truncated clone, products it has not reached are left out.
         """
         n = self.carrier_size
-        right = self._graphs[right].astype(np.intp)
+        right = self.graphs[right].astype(np.intp)
         keys = set()
         step = max(1, _PRODUCT_CHUNK // max(1, right.size))
         for s in range(0, len(left), step):
-            rows = self._graphs[left[s:s + step]].astype(np.intp)[:, None, :]
+            rows = self.graphs[left[s:s + step]].astype(np.intp)[:, None, :]
             data = self._mult[rows * (n + 1) + right[None]].tobytes()
             keys.update(data[k:k + n] for k in range(0, len(data), n))
         ops = [self._index.get(key) for key in keys]
@@ -291,7 +304,7 @@ class CloneResult:
 
     def product_edge(self, i, j):
         """Index of ops[i]·ops[j], or None when a truncated clone lacks it."""
-        if not (0 <= i < len(self.ops) and 0 <= j < len(self.ops)):
+        if not (0 <= i < self.op_count and 0 <= j < self.op_count):
             raise InputError("op index out of range")
         r = self.products([i], [j])
         return int(r[0]) if r.size else None
@@ -420,10 +433,7 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     level, seeds = level[:m].copy(), seeds[:m].copy()
     for arr in (mult, graphs, level, seeds):
         arr.setflags(write=False)
-    values = list(range(n)) + [None]
-    ops = tuple(UnaryPolyOp(tuple(map(values.__getitem__, row)), term)
-                for row, term in zip(graphs.tolist(), witnesses))
-    return CloneResult(ops, budget_hit, None, n, graphs, mult, level, seeds, index)
+    return CloneResult(graphs, tuple(witnesses), budget_hit, mult, level, seeds, index)
 
 
 def classify(clone, reading="total"):
@@ -442,7 +452,7 @@ def classify(clone, reading="total"):
         raise InputError("cannot classify a clone truncated by its budget")
     threshold = _NONCONSTANT_LEVEL[reading]
     n = clone.carrier_size
-    ident = (clone._graphs == np.arange(n, dtype=np.uint8)).all(axis=1)
+    ident = (clone.graphs == np.arange(n, dtype=np.uint8)).all(axis=1)
     trivial = ident | (clone._level == 0)
     constant = clone._level < threshold
     nontrivial = ~trivial
@@ -454,14 +464,10 @@ def classify(clone, reading="total"):
         new = res[nontrivial[res] & ~definite[res]]
         definite[new] = True
         frontier = new
-
-    ops = tuple(
-        UnaryPolyOp(op.graph, op.witness,
-                    bool(trivial[i]), bool(constant[i]), bool(definite[i]))
-        for i, op in enumerate(clone.ops)
-    )
-    return CloneResult(ops, False, reading, n, clone._graphs, clone._mult,
-                       clone._level, clone._seed, clone._index)
+    for mask in (trivial, constant, definite):
+        mask.setflags(write=False)
+    return replace(clone, reading=reading, trivial=trivial, constant=constant,
+                   definite=definite)
 
 
 def lemma2_check(clone):
@@ -474,12 +480,11 @@ def lemma2_check(clone):
     if clone.reading is None:
         raise InputError("classify the clone before the normal-form check")
     n = clone.carrier_size
-    flagged = [i for i, op in enumerate(clone.ops)
-               if not op.is_constant and not op.is_definite]
-    ident_idx = clone.find(tuple(range(n)))
-    consts = [clone.find((b,) * n) for b in range(n)]
-    reachable = set(clone.products(flagged, consts).tolist())
-    for i in flagged:
-        if i != ident_idx and i not in reachable:
-            return False, clone.ops[i]
+    flagged = np.flatnonzero(~(clone.constant | clone.definite))
+    reachable = np.zeros(clone.op_count, dtype=bool)
+    reachable[clone.find(tuple(range(n)))] = True
+    reachable[clone.products(flagged, [clone.find((b,) * n) for b in range(n)])] = True
+    bad = flagged[~reachable[flagged]]
+    if bad.size:
+        return False, clone.op(int(bad[0]))
     return True, None

@@ -88,22 +88,25 @@ def _below(g):
 def check_condition_i(g, clone, varpi):
     """First definite op whose domain crosses congruence blocks, if any.
 
-    Scans ops in construction order and domain pairs lexicographically;
-    absent exactly when every definite op's domain lies inside one block.
+    The first definite op in construction order whose domain crosses
+    blocks, with its lexicographically first crossing pair: a is the op's
+    first domain element and c the first one outside a's block. Absent
+    exactly when every definite op's domain lies inside one block.
     """
-    for op in clone.ops:
-        if not op.is_definite:
-            continue
-        dom = op.domain
-        for i, a in enumerate(dom):
-            for c in dom[i + 1:]:
-                if varpi.class_of[a] != varpi.class_of[c]:
-                    sep = congruence.separator(g, clone, a, c)
-                    if sep is None:
-                        raise InternalError(
-                            "elements in different blocks have no separator")
-                    return DefiniteViolation(op, g.element(a), g.element(c), sep)
-    return None
+    ops = np.flatnonzero(clone.definite)
+    dom = clone.domains()[ops]
+    cls = np.array(varpi.class_of, dtype=np.intp)
+    first = dom.argmax(axis=1)
+    crossing = dom & (cls != cls[first][:, None])
+    hits = np.flatnonzero(crossing.any(axis=1))
+    if not hits.size:
+        return None
+    r = hits[0]
+    a, c = int(first[r]), int(crossing[r].argmax())
+    sep = congruence.separator(g, clone, a, c)
+    if sep is None:
+        raise InternalError("elements in different blocks have no separator")
+    return DefiniteViolation(clone.op(int(ops[r])), g.element(a), g.element(c), sep)
 
 
 def check_condition_ii(g):
@@ -264,15 +267,8 @@ def check_claim_star(g, clone, varpi):
     if clone.reading is None:
         clone = polyclone.classify(clone)
     n = g.size
-    co = [[False] * n for _ in range(n)]
-    for op in clone.ops:
-        if op.is_trivial:
-            continue
-        dom = op.domain
-        for a in dom:
-            row = co[a]
-            for c in dom:
-                row[c] = True
+    dom = clone.domains() & ~clone.trivial[:, None]
+    co = (dom.T @ dom).tolist()
 
     if_ok, if_ce = True, None
     onlyif_ok, onlyif_ce = True, None
@@ -280,9 +276,7 @@ def check_claim_star(g, clone, varpi):
         for c in range(a, n):
             eq = varpi.class_of[a] == varpi.class_of[c]
             if co[a][c] and not eq and if_ce is None:
-                op = next(op for op in clone.ops
-                          if not op.is_trivial
-                          and op.graph[a] is not None and op.graph[c] is not None)
+                op = clone.op(int((dom[:, a] & dom[:, c]).argmax()))
                 if_ok, if_ce = False, (g.element(a), g.element(c), op)
             if eq and not co[a][c] and onlyif_ce is None:
                 onlyif_ok, onlyif_ce = False, (g.element(a), g.element(c))
@@ -317,18 +311,20 @@ def check_claim_star(g, clone, varpi):
 def _definite_reference(clone, reading):
     """Definite flags recomputed from scratch by synchronous sweeps.
 
-    Flags derive directly from the graph tuples, and each sweep adds every
+    Flags derive directly from the graph rows, and each sweep adds every
     product of a definite op with such a constant to the closure's seeds
     until stable, independently of classify's worklist propagation;
     certificate checking uses this so it does not trust the decision
     pipeline's cached flags.
     """
-    ident = tuple(range(clone.carrier_size))
-    values = [set(op.graph) for op in clone.ops]
-    const_total = np.array([None not in v and len(v) == 1 for v in values], dtype=bool)
-    trivial = const_total | np.array([op.graph == ident for op in clone.ops], dtype=bool)
+    n = clone.carrier_size
+    ident = list(range(n))
+    rows = clone.graphs.tolist()
+    values = [set(row) for row in rows]
+    const_total = np.array([n not in v and len(v) == 1 for v in values], dtype=bool)
+    trivial = const_total | np.array([row == ident for row in rows], dtype=bool)
     constant = const_total if reading == "total" else \
-        np.array([len(v - {None}) <= 1 for v in values], dtype=bool)
+        np.array([len(v - {n}) <= 1 for v in values], dtype=bool)
 
     consts = np.flatnonzero(constant)
     definite = clone.seeded(reading) & ~trivial

@@ -169,6 +169,29 @@ def brute_force_partition(g, graphs=None):
     return tuple(sorted(tuple(b) for b in prof.values()))
 
 
+def condition_i_reference(clone, varpi):
+    """(op, a, c) for the first definite op, in op order, whose domain
+    crosses blocks, and its lexicographically first crossing pair; None
+    when there is none. A per-op scan of the classified clone's ops."""
+    for op in clone.ops:
+        if not op.is_definite:
+            continue
+        dom = op.domain
+        for i, a in enumerate(dom):
+            for c in dom[i + 1:]:
+                if varpi.class_of[a] != varpi.class_of[c]:
+                    return op, a, c
+    return None
+
+
+def separator_reference(clone, a, c):
+    """First op, in op order, converging on exactly one of a and c."""
+    for op in clone.ops:
+        if (op.graph[a] is None) != (op.graph[c] is None):
+            return op
+    return None
+
+
 def _is_trivial_graph(g, graph):
     n = g.size
     if any(v is None for v in graph):

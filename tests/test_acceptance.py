@@ -5,7 +5,9 @@ soundness, partition oracle) are computed once per session and shared by
 the criteria that consume them: verdict equality across constant
 readings, the normal-form audit, and determinism, which re-runs every
 suite from scratch and compares digests. Batch statistics that are
-reported but not asserted are printed to the captured output.
+reported but not asserted are printed to the captured output. The
+condition-(i) certificate search is also checked against per-op reference
+scans over the inputs of the first two suites.
 """
 import contextlib
 import hashlib
@@ -71,6 +73,35 @@ def _arb_cfg(k):
     return GenConfig(size=2 + k % 6, seed=40_000 + k, mode="arbitrary",
                      density=(0.1, 0.3, 0.6)[k % 3], type_depth=2,
                      ground_count=1)
+
+
+def test_condition_i_matches_reference_scan():
+    inputs = [(gen_typed(_typed_cfg(k))[0], BUDGET) for k in range(500)]
+    inputs += [(gen_arbitrary(_arb_cfg(k)), ARB_BUDGET) for k in range(500)]
+    violations = 0
+    for g, budget in inputs:
+        raw = compute_clone(g, budget)
+        if raw.budget_hit:
+            continue
+        varpi = congruence.leibniz(g, raw)
+        for a in range(g.size):
+            for c in range(a + 1, g.size):
+                assert congruence.separator(g, raw, a, c) == \
+                    oracles.separator_reference(raw, a, c)
+        for reading in ("total", "on-domain"):
+            clone = classify(raw, reading)
+            cert = check_condition_i(g, clone, varpi)
+            ref = oracles.condition_i_reference(clone, varpi)
+            if ref is None:
+                assert cert is None
+                continue
+            violations += 1
+            op, a, c = ref
+            assert (cert.op.graph, cert.op.witness) == (op.graph, op.witness)
+            assert cert.op == op
+            assert (cert.a.index, cert.c.index) == (a, c)
+            assert cert.separator == oracles.separator_reference(clone, a, c)
+    assert violations > 0
 
 
 def _run_typed():

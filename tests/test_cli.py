@@ -359,12 +359,21 @@ def _imported_modules(argv):
     return proc.returncode, proc.stdout, names
 
 
-def test_verify_process_loads_no_numpy():
+def test_verify_process_loads_no_numpy(tmp_path):
     code, out, modules = _imported_modules(["verify", SIX, SIX_TYPING])
     assert code == 0
     assert out == "accepted\n"
     assert "pargoids" in modules
     assert "numpy" not in modules
+    # so does gen, in arbitrary and typed modes
+    typing = str(tmp_path / "typing.json")
+    for argv in (["--size", "5"],
+                 ["--size", "5", "--mode", "typed_strong", "--with-typing", typing]):
+        code, out, modules = _imported_modules(["gen", "--seed", "3", *argv])
+        assert code == 0
+        assert out.startswith("elements: ")
+        assert "pargoids" in modules
+        assert "numpy" not in modules
     # decide computes a clone, which needs numpy
     code, _, modules = _imported_modules(["decide", SIX])
     assert code == 0

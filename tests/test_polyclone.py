@@ -24,6 +24,14 @@ def test_eval_term():
     assert eval_term(g, xbd, g.element("c")) is None
     assert eval_term(g, VAR, 4) == g.element("cb")
     assert eval_term(g, Const(g.element("d")), 0) == g.element("d")
+    # a 5,000-deep product chain evaluates without recursion: a a = a in three
+    g = oracles.three()
+    chain = VAR
+    for _ in range(5000):
+        chain = Prod(chain, VAR)
+    assert eval_term(g, chain, g.element("a")) == g.element("a")
+    assert eval_term(g, chain, g.element("b")) is None
+    assert term_graph(g, chain) == (0, None, None)
 
 
 def test_term_graph_and_size():
@@ -96,6 +104,26 @@ def test_clone_void_product():
     graphs = {op.graph for op in clone.ops}
     assert graphs == {(0, 1), (0, 0), (1, 1), (None, None)}
     assert all(op.is_trivial or op.domain == () for op in clone.ops)
+
+
+def test_clone_is_its_arrays():
+    g = oracles.six()
+    raw = compute_clone(g)
+    clone = classify(raw)
+    # classify shares the arrays and adds read-only masks
+    assert clone.graphs is raw.graphs and clone.witnesses is raw.witnesses
+    assert raw.reading is None and raw.definite is None
+    for arr in (clone.graphs, clone.trivial, clone.constant, clone.definite):
+        assert not arr.flags.writeable
+    assert clone.graphs[9].tolist() == [3, 6, 4, 6, 6, 6]
+    op = clone.op(9)
+    assert op.graph == (3, None, 4, None, None, None)
+    assert format_term(op.witness) == "(prod var (const b))"
+    assert (op.is_trivial, op.is_constant, op.is_definite) == (False, False, False)
+    assert raw.op(9) == polyclone.UnaryPolyOp(op.graph, op.witness)
+    assert clone.ops == tuple(clone.op(i) for i in range(clone.op_count))
+    assert clone.ops is clone.ops
+    assert [o.is_definite for o in clone.ops] == clone.definite.tolist()
 
 
 def test_clone_single_element():
@@ -185,6 +213,14 @@ def test_find_and_product_edges():
     assert clone.find((0, 1, 2, 3, 4, None)) is None
     with pytest.raises(InputError):
         clone.find((0, 1))
+    # n is the undefined sentinel inside the clone, not a graph value
+    three = compute_clone(oracles.three())
+    assert three.find((None,) * 3) == 5
+    for bad in (3, 300, -1):
+        with pytest.raises(InputError):
+            three.find((bad,) * 3)
+        with pytest.raises(InputError):
+            three.find((0, bad, None))
     # recorded edges compose pointwise
     for i in range(clone.op_count):
         for j in range(clone.op_count):

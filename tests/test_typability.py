@@ -246,6 +246,35 @@ def test_validate_certificate_rejects_tampered_violations():
     assert not ok and "budget" in reason
 
 
+def test_validate_certificate_rejects_graph_values_outside_the_carrier():
+    g = quad()
+    cert = decide(g).certificate
+    for bad in (g.size, 300, -1):
+        for graph in ((bad,) * g.size, (bad,) + cert.op.graph[1:]):
+            tampered = DefiniteViolation(UnaryPolyOp(graph, cert.op.witness),
+                                         cert.a, cert.c, cert.separator)
+            with pytest.raises(InputError):
+                validate_certificate(g, tampered)
+
+
+def test_decide_builds_op_objects_only_for_a_certificate(monkeypatch):
+    built = []
+    init = UnaryPolyOp.__init__
+
+    def counting(self, graph, *args):
+        built.append(graph)
+        init(self, graph, *args)
+
+    monkeypatch.setattr(UnaryPolyOp, "__init__", counting)
+    assert isinstance(decide(oracles.six()), Typable)
+    # truncated clones, with and without a cycle to salvage a verdict
+    assert isinstance(decide(oracles.six(), budget=7), typability.ResourceExhausted)
+    assert isinstance(decide(oracles.three(), budget=4).certificate, Cycle)
+    assert built == []
+    cert = decide(quad()).certificate
+    assert sorted(built, key=repr) == sorted([cert.op.graph, cert.separator.graph], key=repr)
+
+
 def test_validate_certificate_rejects_indefinite_op():
     # x.b converges on a and c and they are separable, but it is not definite
     g = oracles.six()
