@@ -19,8 +19,7 @@ import sys
 
 from . import generators, pargoid, verifier
 from .defaults import DEFAULT_BUDGET, READINGS
-from .errors import InputError, InternalError
-from .errors import ResourceExhausted as ResourceExhaustedError
+from .errors import InputError, InternalError, ResourceExhausted
 from .types import format_type
 
 EXIT_OK = 0
@@ -84,7 +83,14 @@ def _format_cycle(cert):
 def _cmd_decide(args):
     from . import polyclone, typability
     g = _load_pargoid(args.pargoid)
-    decision = typability.decide(g, _budget(args), args.reading)
+    try:
+        decision = typability.decide(g, _budget(args), args.reading)
+    except ResourceExhausted as exc:
+        if not args.json:
+            raise
+        _emit_json({"schema": 1, "verdict": "resource-exhausted",
+                    "stage": exc.stage, "budget": exc.budget})
+        return EXIT_RESOURCE
     if isinstance(decision, typability.Typable):
         if args.json:
             doc = {"schema": 1, "verdict": "typable",
@@ -96,32 +102,26 @@ def _cmd_decide(args):
             for e, t in enumerate(decision.typing.types):
                 _emit(f"{g.names[e]}: {format_type(t)}\n")
         return EXIT_OK
-    if isinstance(decision, typability.Untypable):
-        cert = decision.certificate
-        if args.json:
-            if isinstance(cert, typability.Cycle):
-                cert_doc = {"kind": "cycle", "path": [e.name for e in cert.path]}
-            else:
-                cert_doc = {"kind": "definite-violation",
-                            "op": _op_json(g, cert.op),
-                            "a": cert.a.name, "c": cert.c.name,
-                            "separator": _op_json(g, cert.separator)}
-            _emit_json({"schema": 1, "verdict": "untypable", "certificate": cert_doc})
-        else:
-            _emit("untypable\n")
-            if args.cert:
-                if isinstance(cert, typability.Cycle):
-                    _emit(f"cycle: {_format_cycle(cert)}\n")
-                else:
-                    _emit(f"definite violation: {polyclone.format_term(cert.op.witness)}"
-                          f" converges on {cert.a.name} and {cert.c.name}\n")
-                    _emit(f"separator: {polyclone.format_term(cert.separator.witness)}\n")
-        return EXIT_REJECTED
+    cert = decision.certificate
     if args.json:
-        _emit_json({"schema": 1, "verdict": "resource-exhausted",
-                    "stage": decision.stage, "budget": decision.budget})
-        return EXIT_RESOURCE
-    raise ResourceExhaustedError(decision.stage, decision.budget)
+        if isinstance(cert, typability.Cycle):
+            cert_doc = {"kind": "cycle", "path": [e.name for e in cert.path]}
+        else:
+            cert_doc = {"kind": "definite-violation",
+                        "op": _op_json(g, cert.op),
+                        "a": cert.a.name, "c": cert.c.name,
+                        "separator": _op_json(g, cert.separator)}
+        _emit_json({"schema": 1, "verdict": "untypable", "certificate": cert_doc})
+    else:
+        _emit("untypable\n")
+        if args.cert:
+            if isinstance(cert, typability.Cycle):
+                _emit(f"cycle: {_format_cycle(cert)}\n")
+            else:
+                _emit(f"definite violation: {polyclone.format_term(cert.op.witness)}"
+                      f" converges on {cert.a.name} and {cert.c.name}\n")
+                _emit(f"separator: {polyclone.format_term(cert.separator.witness)}\n")
+    return EXIT_REJECTED
 
 
 def _cmd_type(args):
@@ -131,10 +131,8 @@ def _cmd_type(args):
     if isinstance(decision, typability.Typable):
         sys.stdout.buffer.write(verifier.serialize_typing(g, decision.typing))
         return EXIT_OK
-    if isinstance(decision, typability.Untypable):
-        print("error: the pargoid is untypable", file=sys.stderr)
-        return EXIT_REJECTED
-    raise ResourceExhaustedError(decision.stage, decision.budget)
+    print("error: the pargoid is untypable", file=sys.stderr)
+    return EXIT_REJECTED
 
 
 def _cmd_verify(args):
@@ -244,21 +242,23 @@ def _cmd_stats(args):
         else:
             g, _ = generators.gen_typed(cfg)
         clone = polyclone.compute_clone(g, budget)
-        decision = typability.decide(g, budget, args.reading, clone=clone)
         classes = ""
         if not clone.budget_hit:
             classes = len(congruence.leibniz(g, clone).blocks)
-        verdict, kind, strong = "", "", ""
-        if isinstance(decision, typability.Typable):
-            verdict = "typable"
-            strong = str(verifier.verify(g, decision.typing, "strong")
-                         .accepted_strong).lower()
-        elif isinstance(decision, typability.Untypable):
-            verdict = "untypable"
-            kind = ("cycle" if isinstance(decision.certificate, typability.Cycle)
-                    else "definite-violation")
-        else:
+        kind, strong = "", ""
+        try:
+            decision = typability.decide(g, budget, args.reading, clone=clone)
+        except ResourceExhausted:
             verdict = "resource-exhausted"
+        else:
+            if isinstance(decision, typability.Typable):
+                verdict = "typable"
+                strong = str(verifier.verify(g, decision.typing, "strong")
+                             .accepted_strong).lower()
+            else:
+                verdict = "untypable"
+                kind = ("cycle" if isinstance(decision.certificate, typability.Cycle)
+                        else "definite-violation")
         _emit(f"{s},{args.size},{args.density},{verdict},{kind},"
               f"{clone.op_count},{classes},{strong}\n")
     return EXIT_OK
@@ -408,7 +408,7 @@ def run(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResourceExhaustedError as exc:
+    except ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (InputError, OSError) as exc:

@@ -175,7 +175,4 @@ def gen_typed(cfg):
             members = block_of[ta.consequent]
             table[(a, b)] = members[table_rng.below(len(members))]
 
-    g = Pargoid(_names(n), table)
-    ground_classes = {t.name: tuple(block_of[t])
-                      for t in pool if isinstance(t, Ground)}
-    return g, Typing(tuple(assignment), ground_classes)
+    return Pargoid(_names(n), table), Typing(tuple(assignment))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import InputError
 
@@ -66,9 +67,8 @@ class Pargoid:
             if key not in self._index:
                 raise InputError(f"unknown element {key!r}")
             return ElementId(self._index[key], key)
-        if not 0 <= key < self.size:
-            raise InputError(f"element index {key} out of range")
-        return ElementId(key, self.names[key])
+        i = _ix(self, key)
+        return ElementId(i, self.names[i])
 
     def elements(self):
         return tuple(ElementId(i, nm) for i, nm in enumerate(self.names))
@@ -85,6 +85,8 @@ class Pargoid:
 def _ix(g, e):
     if isinstance(e, ElementId):
         e = e.index
+    if not isinstance(e, Integral):
+        raise InputError(f"element index {e!r} is not an integer")
     if not 0 <= e < g.size:
         raise InputError(f"element index {e} out of range")
     return e

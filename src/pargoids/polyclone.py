@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -268,8 +269,8 @@ class CloneResult:
         n = self.carrier_size
         if len(graph) != n:
             raise InputError("graph length does not match the carrier")
-        if not all(v is None or v in range(n) for v in graph):
-            raise InputError("graph value outside the carrier")
+        if not all(v is None or (isinstance(v, Integral) and 0 <= v < n) for v in graph):
+            raise InputError("graph value is not an element index")
         return self._index.get(bytes(n if v is None else v for v in graph))
 
     def domains(self):

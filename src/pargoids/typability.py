@@ -1,24 +1,27 @@
 """Typability decision pipeline with checkable untypability certificates.
 
-A pargoid is typable exactly when (i) every definite operation's domain
-lies inside a single block of the convergence-profile congruence and
-(ii) the application order is well-founded, which on a finite carrier
-means its graph is acyclic. Failures yield certificates — a definite
-violation pair or an application-order cycle — that re-validate against
-the product table without trusting this module's own bookkeeping. On
-success the typing is built from the congruence blocks and checked by the
-verifier before being returned.
+decide checks (i) that every definite operation's domain lies inside one
+block of the convergence-profile congruence and (ii) that the application
+order is acyclic, then builds a typing from the blocks and verifies it.
+A verdict guarantees what its evidence shows, and no more:
+
+- a typable verdict's typing passes literal verification, and can fail
+  the strong check: the table f w = v, h w = v, g h = v is answered
+  typable though g f diverges where the types match, and so is the
+  table of ``pargoid gen --seed 71209 --size 8 --density 0.05``;
+- a cycle certificate rules out any typing, as a product's factors and
+  value have types strictly smaller than its left factor's;
+- a definite violation re-validates from the product table alone.
 """
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import congruence, polyclone, verifier
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceExhausted
 from .pargoid import less_than
 from .types import Arrow, Ground, Typing
 
@@ -57,32 +60,7 @@ class Untypable:
     certificate: Certificate
 
 
-@dataclass(frozen=True)
-class ResourceExhausted:
-    stage: str
-    budget: int
-
-
-Decision = Typable | Untypable | ResourceExhausted
-
-
-def _rows(g):
-    """Sorted defined application row (b, ab) of each element."""
-    rows = [[] for _ in range(g.size)]
-    for (a, b), c in g.table.items():
-        rows[a].append((b, c))
-    for r in rows:
-        r.sort()
-    return rows
-
-
-def _below(g):
-    """below[a] = ascending elements under a in the application order."""
-    below = [set() for _ in range(g.size)]
-    for (a, b), c in g.table.items():
-        below[a].add(b)
-        below[a].add(c)
-    return [sorted(s) for s in below]
+Decision = Typable | Untypable
 
 
 def check_condition_i(g, clone, varpi):
@@ -115,7 +93,11 @@ def check_condition_ii(g):
     Breadth-first search from every start element; ties between equally
     short cycles go to the smallest start index.
     """
-    below = _below(g)
+    below = [set() for _ in range(g.size)]
+    for (a, b), c in g.table.items():
+        below[a].add(b)
+        below[a].add(c)
+    below = [sorted(v) for v in below]
     best = None
     for s in range(g.size):
         parent = {}
@@ -153,53 +135,44 @@ def construct_typing(g, varpi):
 
     Blocks containing an element with an empty application row become
     ground types named g<smallest member index>; all their members share
-    that ground type. Remaining elements are processed in a topological
-    order of the application order, minimal first: an untyped element a
-    takes type(b) -> type(ab) for the smallest-index b with ab defined.
-    Inconsistencies here are bug alarms, not user errors — the two
-    typability conditions rule them out.
+    that ground type. Every other element a takes type(b) -> type(ab) for
+    the smallest-index b with ab defined, once those two are typed: a
+    memoized descent along these dependencies. Inconsistencies here are
+    bug alarms, not user errors — the two typability conditions rule them
+    out.
     """
     n = g.size
-    rows = _rows(g)
+    first = [None] * n  # (b, ab) for the smallest b with ab defined
+    for (a, b), c in g.table.items():
+        if first[a] is None or b < first[a][0]:
+            first[a] = (b, c)
     types = [None] * n
-    ground_classes = {}
     for blk in varpi.blocks:
-        if any(not rows[e] for e in blk):
-            name = f"g{blk[0]}"
-            ground_classes[name] = blk
-            t = Ground(name)
+        if any(first[e] is None for e in blk):
+            t = Ground(f"g{blk[0]}")
             for e in blk:
                 types[e] = t
 
-    below = _below(g)
-    above = [[] for _ in range(n)]
-    indegree = [len(below[a]) for a in range(n)]
-    for a in range(n):
-        for b in below[a]:
-            above[b].append(a)
-    ready = [e for e in range(n) if indegree[e] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        e = heapq.heappop(ready)
-        order.append(e)
-        for a in above[e]:
-            indegree[a] -= 1
-            if indegree[a] == 0:
-                heapq.heappush(ready, a)
-    if len(order) != n:
-        raise InternalError("application order contains a cycle")
-
-    for e in order:
-        if types[e] is not None:
-            continue
-        if not rows[e]:
-            raise InternalError("untyped element with an empty application row")
-        b, c = rows[e][0]
-        if types[b] is None or types[c] is None:
-            raise InternalError("application-order descent reached an untyped element")
-        types[e] = Arrow(types[b], types[c])
-    return Typing(tuple(types), ground_classes)
+    entered = [False] * n  # an entered element met again untyped closes a cycle
+    for root in range(n):
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if types[e] is not None:
+                stack.pop()
+                continue
+            if first[e] is None:
+                raise InternalError("untyped element with an empty application row")
+            b, c = first[e]
+            if types[b] is not None and types[c] is not None:
+                types[e] = Arrow(types[b], types[c])
+                stack.pop()
+            elif entered[e]:
+                raise InternalError("application order contains a cycle")
+            else:
+                entered[e] = True
+                stack += (b, c)
+    return Typing(tuple(types))
 
 
 def decide(g, budget=polyclone.DEFAULT_BUDGET, reading="total", clone=None):
@@ -209,8 +182,8 @@ def decide(g, budget=polyclone.DEFAULT_BUDGET, reading="total", clone=None):
     (ii), construction, verification. When both conditions fail the
     condition-(i) certificate wins, for determinism. A clone truncated by
     its budget still allows an Untypable verdict through the clone-free
-    condition (ii); otherwise the decision is ResourceExhausted rather
-    than a guess. A precomputed clone for g may be passed in to be reused
+    condition (ii); otherwise decide raises ResourceExhausted rather than
+    guess. A precomputed clone for g may be passed in to be reused
     across readings.
     """
     if clone is None:
@@ -219,7 +192,7 @@ def decide(g, budget=polyclone.DEFAULT_BUDGET, reading="total", clone=None):
         cycle = check_condition_ii(g)
         if cycle is not None:
             return Untypable(cycle)
-        return ResourceExhausted("clone", budget)
+        raise ResourceExhausted("clone", budget)
     clone = polyclone.classify(clone, reading)
     varpi = congruence.leibniz(g, clone)
     violation = check_condition_i(g, clone, varpi)

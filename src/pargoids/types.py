@@ -200,15 +200,9 @@ def strict_closure_check(inhabited):
 
 @dataclass(frozen=True)
 class Typing:
-    """A total type assignment over a carrier.
-
-    types[i] is the type of element i. ground_classes maps each ground
-    name introduced by typing construction to the element block it names;
-    it is empty for typings loaded from files.
-    """
+    """A total type assignment over a carrier: types[i] is the type of element i."""
 
     types: tuple
-    ground_classes: dict
 
 
 def type_to_json(t):

@@ -118,12 +118,11 @@ def verify(g, typing, mode="literal"):
                 f"expected {format_type(ta.consequent)}"))
 
     axiom1_totality_ok = True
-    for a in range(n):
-        ta = typing.types[a]
+    for a, ta in enumerate(typing.types):
         if not isinstance(ta, Arrow):
             continue
-        for b in range(n):
-            if typing.types[b] == ta.antecedent and (a, b) not in g.table:
+        for b in blocks.get(ta.antecedent, ()):
+            if (a, b) not in g.table:
                 axiom1_totality_ok = False
                 failures.append(Violation(
                     "axiom1-totality",
@@ -193,7 +192,7 @@ def parse_typing(g, data):
     for e, t in enumerate(types):
         if t is None:
             raise InputError(f"element {g.names[e]} has no type")
-    return Typing(tuple(types), {})
+    return Typing(tuple(types))
 
 
 def serialize_typing(g, typing):

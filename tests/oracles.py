@@ -4,9 +4,11 @@ Everything here recomputes results from the product table alone, without
 the package's vectorized closure, flag propagation, or partition code, so
 agreement is evidence rather than tautology.
 """
+import heapq
 from pathlib import Path
 
 from pargoids import generators, pargoid, polyclone, types
+from pargoids.errors import InternalError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,6 +23,10 @@ def three():
 
 def six():
     return load("six.pgd")
+
+
+def five():
+    return load("five.pgd")
 
 
 def void2():
@@ -190,6 +196,52 @@ def separator_reference(clone, a, c):
         if (op.graph[a] is None) != (op.graph[c] is None):
             return op
     return None
+
+
+def topological_typing_reference(g, varpi):
+    """Types of typing construction, built along a topological order.
+
+    Ground blocks as in construct_typing; then the whole application order
+    is sorted by Kahn's algorithm, smallest index first among the ready
+    elements, and each untyped element takes type(b) -> type(ab) for the
+    smallest b in its sorted row. Any cycle of the order is an error.
+    """
+    n = g.size
+    rows = [[] for _ in range(n)]
+    below = [set() for _ in range(n)]
+    for (a, b), c in g.table.items():
+        rows[a].append((b, c))
+        below[a] |= {b, c}
+    for r in rows:
+        r.sort()
+    out = [None] * n
+    for blk in varpi.blocks:
+        if any(not rows[e] for e in blk):
+            for e in blk:
+                out[e] = types.Ground(f"g{blk[0]}")
+
+    above = [[] for _ in range(n)]
+    indegree = [len(below[a]) for a in range(n)]
+    for a in range(n):
+        for b in below[a]:
+            above[b].append(a)
+    ready = [e for e in range(n) if indegree[e] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        e = heapq.heappop(ready)
+        order.append(e)
+        for a in above[e]:
+            indegree[a] -= 1
+            if indegree[a] == 0:
+                heapq.heappush(ready, a)
+    if len(order) != n:
+        raise InternalError("application order contains a cycle")
+    for e in order:
+        if out[e] is None:
+            b, c = rows[e][0]
+            out[e] = types.Arrow(out[b], out[c])
+    return tuple(out)
 
 
 def _is_trivial_graph(g, graph):

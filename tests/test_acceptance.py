@@ -7,7 +7,8 @@ readings, the normal-form audit, and determinism, which re-runs every
 suite from scratch and compares digests. Batch statistics that are
 reported but not asserted are printed to the captured output. The
 condition-(i) certificate search is also checked against per-op reference
-scans over the inputs of the first two suites.
+scans over the inputs of the first two suites, and the typings of their
+typable verdicts against a topologically ordered construction.
 """
 import contextlib
 import hashlib
@@ -110,6 +111,7 @@ def _run_typed():
     lemma2_ondomain = []
     verdict_pairs = []
     rows = []
+    typings = []
     strong_accepts = 0
     arrow_single = 0
     t0 = time.perf_counter()
@@ -127,6 +129,7 @@ def _run_typed():
             fails.append((key, "verdict", type(d_total).__name__))
             continue
         typing = d_total.typing
+        typings.append((g, typing))
         if not verify(g, typing, mode="literal").accepted_literal:
             fails.append((key, "verify-literal", None))
         if verify(g, typing, mode="strong").accepted_strong:
@@ -161,7 +164,7 @@ def _run_typed():
     return SimpleNamespace(fails=fails, lemma2=lemma2_bad,
                            lemma2_ondomain=lemma2_ondomain,
                            verdict_pairs=verdict_pairs, rows=rows,
-                           digest=_digest(rows), count=500,
+                           digest=_digest(rows), count=500, typings=typings,
                            elapsed=time.perf_counter() - t0,
                            strong_accepts=strong_accepts,
                            arrow_single=arrow_single)
@@ -173,7 +176,8 @@ def _run_arb():
     lemma2_ondomain = []
     verdict_pairs = []
     rows = []
-    closed = typable = strong_accepts = 0
+    typings = []
+    closed = strong_accepts = 0
     t0 = time.perf_counter()
     for k in range(500):
         cfg = _arb_cfg(k)
@@ -195,7 +199,7 @@ def _run_arb():
                 if not verify(g, decision.typing, mode="literal").accepted_literal:
                     fails.append((key, reading, "verify-literal", None))
         if isinstance(d_total, Typable):
-            typable += 1
+            typings.append((g, d_total.typing))
             if verify(g, d_total.typing, mode="strong").accepted_strong:
                 strong_accepts += 1
         if not clone.budget_hit:
@@ -210,7 +214,7 @@ def _run_arb():
                            lemma2_ondomain=lemma2_ondomain,
                            verdict_pairs=verdict_pairs, rows=rows,
                            digest=_digest(rows), count=500, closed=closed,
-                           typable=typable, strong_accepts=strong_accepts,
+                           typings=typings, strong_accepts=strong_accepts,
                            elapsed=time.perf_counter() - t0)
 
 
@@ -347,10 +351,10 @@ def test_criterion_4_certificate_soundness():
     s = suite_arb()
     assert s.count == 500
     assert not s.fails, s.fails[:5]
-    if s.typable:
-        rate = s.strong_accepts / s.typable
+    if s.typings:
+        rate = s.strong_accepts / len(s.typings)
         print(f"batch statistic: strong-mode acceptance rate {rate:.3f} "
-              f"over {s.typable} typable arbitrary instances")
+              f"over {len(s.typings)} typable arbitrary instances")
     _report(4, f"500 arbitrary instances, {s.closed} closed clones, "
                f"certificates re-validated in {s.elapsed:.1f}s")
 
@@ -382,6 +386,20 @@ def test_criterion_7_normal_form_audit():
           f"on {ondomain} of {checked} clones (expected; the total reading "
           f"is the one the normal form is proved for)")
     _report(7, f"normal form holds on {checked} closed clones, total reading")
+
+
+def test_typings_match_topological_reference():
+    """Every typable verdict of the typed and arbitrary suites carries the
+    very type objects that a topologically ordered construction builds."""
+    checked = 0
+    for suite, budget in ((suite_typed(), BUDGET), (suite_arb(), ARB_BUDGET)):
+        for g, typing in suite.typings:
+            varpi = congruence.leibniz(g, compute_clone(g, budget))
+            reference = oracles.topological_typing_reference(g, varpi)
+            assert len(typing.types) == len(reference)
+            assert all(t is r for t, r in zip(typing.types, reference)), g
+            checked += 1
+    assert checked >= suite_typed().count
 
 
 def test_criterion_8_determinism():

@@ -388,6 +388,18 @@ def test_exit_code_resource_exhaustion():
     assert code == 3
     code, _, _ = run(["claim-star", SIX, "--budget", "7"])
     assert code == 3
+    code, out, err = run(["type", "--budget", "7", SIX])
+    assert (code, out) == (3, "")
+    assert err == "error: clone: budget of 7 exhausted before closure\n"
+
+
+def test_stats_reports_resource_exhaustion():
+    # typed_strong tables are acyclic, so no cycle salvages a truncated clone
+    code, out, _ = run(["stats", "--seed", "2", "--count", "2", "--size", "6",
+                        "--mode", "typed_strong", "--budget", "12"])
+    assert code == 0
+    assert out.split("\n")[1:] == ["2,6,0.5,typable,,8,1,true",
+                                    "3,6,0.5,resource-exhausted,,12,,", ""]
 
 
 def test_internal_error_exits_4(monkeypatch):

@@ -18,6 +18,9 @@ def test_construction_and_lookup():
         g.element("z")
     with pytest.raises(InputError):
         g.element(3)
+    for bad in (1.0, None):
+        with pytest.raises(InputError, match="not an integer"):
+            g.element(bad)
 
 
 def test_construction_rejects_bad_names_and_entries():
@@ -48,6 +51,12 @@ def test_apply():
     assert apply(g, 1, 1) is None
     gv = oracles.void2()
     assert apply(gv, 0, 1) is None
+    # 1.0 == 1 and hashes alike, so it must be refused, not looked up
+    for bad in (1.0, None):
+        with pytest.raises(InputError, match="not an integer"):
+            pargoid._ix(g, bad)
+        with pytest.raises(InputError, match="not an integer"):
+            apply(g, 0, bad)
 
 
 def test_less_than_fixture_values():

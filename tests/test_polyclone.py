@@ -216,7 +216,7 @@ def test_find_and_product_edges():
     # n is the undefined sentinel inside the clone, not a graph value
     three = compute_clone(oracles.three())
     assert three.find((None,) * 3) == 5
-    for bad in (3, 300, -1):
+    for bad in (3, 300, -1, 1.0, 0.5, "a"):
         with pytest.raises(InputError):
             three.find((bad,) * 3)
         with pytest.raises(InputError):

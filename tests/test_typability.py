@@ -2,7 +2,7 @@ import pytest
 
 from pargoids import polyclone, typability, verifier
 from pargoids.congruence import leibniz
-from pargoids.errors import InputError, InternalError
+from pargoids.errors import InputError, InternalError, ResourceExhausted
 from pargoids.pargoid import Pargoid
 from pargoids.polyclone import UnaryPolyOp, VAR, classify, compute_clone, format_term
 from pargoids.typability import (Cycle, DefiniteViolation, Typable, Untypable,
@@ -83,7 +83,6 @@ def test_decide_six():
         "cb": "g4",
         "d": "g5",
     }
-    assert decision.typing.ground_classes == {"g1": (1,), "g4": (4,), "g5": (5,)}
     assert verifier.verify(g, decision.typing, "literal").accepted
     assert verifier.verify(g, decision.typing, "strong").accepted
 
@@ -101,7 +100,9 @@ def test_decide_quad_prefers_definite_violation():
 
 
 def test_decide_budget_exhaustion():
-    assert decide(oracles.six(), budget=7) == typability.ResourceExhausted("clone", 7)
+    with pytest.raises(ResourceExhausted) as exc:
+        decide(oracles.six(), budget=7)
+    assert (exc.value.stage, exc.value.budget) == ("clone", 7)
     # a cycle is still reported from a truncated clone
     decision = decide(oracles.three(), budget=4)
     assert isinstance(decision, Untypable)
@@ -123,7 +124,6 @@ def test_construct_typing_void():
     g = oracles.void2()
     typing = construct_typing(g, leibniz(g, compute_clone(g)))
     assert typing.types == (Ground("g0"), Ground("g0"))
-    assert typing.ground_classes == {"g0": (0, 1)}
 
 
 def test_construct_typing_chain():
@@ -131,13 +131,25 @@ def test_construct_typing_chain():
     typing = construct_typing(g, leibniz(g, compute_clone(g)))
     assert typing.types == (Arrow(Ground("g1"), Ground("g2")),
                             Ground("g1"), Ground("g2"))
-    assert typing.ground_classes == {"g1": (1,), "g2": (2,)}
+
+
+def test_construct_typing_matches_topological_reference():
+    instances = [oracles.six(), oracles.five(), oracles.void2(), oracles.chain3(),
+                 oracles.single()]
+    instances += [oracles.doubling_chain(n) for n in range(2, 41)]
+    for g in instances:
+        varpi = leibniz(g, compute_clone(g))
+        types = construct_typing(g, varpi).types
+        reference = oracles.topological_typing_reference(g, varpi)
+        assert len(types) == len(reference) == g.size
+        assert all(t is r for t, r in zip(types, reference)), g
 
 
 def test_construct_typing_rejects_cyclic_order():
-    g = oracles.three()
-    with pytest.raises(InternalError):
-        construct_typing(g, leibniz(g, compute_clone(g)))
+    # a self-application, and x and y each applying to the other
+    for g in (oracles.three(), Pargoid(("x", "y", "z"), {(0, 1): 2, (1, 0): 2})):
+        with pytest.raises(InternalError, match="cycle"):
+            construct_typing(g, leibniz(g, compute_clone(g)))
 
 
 def test_typed_batch_properties():
@@ -249,7 +261,7 @@ def test_validate_certificate_rejects_tampered_violations():
 def test_validate_certificate_rejects_graph_values_outside_the_carrier():
     g = quad()
     cert = decide(g).certificate
-    for bad in (g.size, 300, -1):
+    for bad in (g.size, 300, -1, 1.0):
         for graph in ((bad,) * g.size, (bad,) + cert.op.graph[1:]):
             tampered = DefiniteViolation(UnaryPolyOp(graph, cert.op.witness),
                                          cert.a, cert.c, cert.separator)
@@ -268,7 +280,8 @@ def test_decide_builds_op_objects_only_for_a_certificate(monkeypatch):
     monkeypatch.setattr(UnaryPolyOp, "__init__", counting)
     assert isinstance(decide(oracles.six()), Typable)
     # truncated clones, with and without a cycle to salvage a verdict
-    assert isinstance(decide(oracles.six(), budget=7), typability.ResourceExhausted)
+    with pytest.raises(ResourceExhausted):
+        decide(oracles.six(), budget=7)
     assert isinstance(decide(oracles.three(), budget=4).certificate, Cycle)
     assert built == []
     cert = decide(quad()).certificate

@@ -33,7 +33,7 @@ def test_altered_typing_rejected():
     typing = six_typing(g)
     alt = list(typing.types)
     alt[g.element("c").index] = alt[g.element("a").index]
-    report = verify(g, Typing(tuple(alt), {}), "literal")
+    report = verify(g, Typing(tuple(alt)), "literal")
     assert not report.accepted
     assert not report.axiom1_forward_ok
     assert [v.check for v in report.failures] == ["axiom1-forward"]
@@ -48,7 +48,7 @@ def test_self_application_is_untypable_by_axiom():
         (Arrow(Ground("g0"), Ground("g0")), Ground("g0"), Ground("g1")),
         (parse_type("(g0 -> g0) -> g0"), Ground("g1"), Ground("g2")),
     ):
-        report = verify(g, Typing(types, {}), "literal")
+        report = verify(g, Typing(types), "literal")
         assert not report.accepted
 
 
@@ -67,10 +67,24 @@ def test_totality_only_counts_in_strong_mode():
     assert "ab d diverges" in strong.failures[0].detail
 
 
+def test_totality_failures_in_element_order():
+    # f misses two arguments of the matching type and g misses one
+    g = Pargoid(("f", "w", "x", "y", "v", "g"), {(0, 3): 4})
+    a, b = Ground("g0"), Ground("g1")
+    fun = Arrow(a, b)
+    report = verify(g, Typing((fun, a, a, a, b, Arrow(fun, b))), "strong")
+    assert report.accepted_literal and not report.accepted
+    assert [v.detail for v in report.failures] == [
+        "f w diverges despite matching types g0 -> g1 and g0",
+        "f x diverges despite matching types g0 -> g1 and g0",
+        "g f diverges despite matching types (g0 -> g1) -> g1 and g0 -> g1",
+    ]
+
+
 def test_strictness_violation_reported():
     g = oracles.void2()
     types = (Arrow(Ground("g0"), Ground("g1")), Arrow(Ground("g0"), Ground("g1")))
-    report = verify(g, Typing(types, {}), "literal")
+    report = verify(g, Typing(types), "literal")
     assert not report.strictness_ok
     assert not report.accepted
     checks = {v.check for v in report.failures}
@@ -80,11 +94,11 @@ def test_strictness_violation_reported():
 def test_verify_input_errors():
     g = oracles.six()
     with pytest.raises(InputError):
-        verify(g, Typing((Ground("g0"),), {}), "literal")
+        verify(g, Typing((Ground("g0"),)), "literal")
     with pytest.raises(InputError):
         verify(g, six_typing(g), "loose")
     with pytest.raises(InputError):
-        verify(oracles.void2(), Typing((Ground("g0"), None), {}), "literal")
+        verify(oracles.void2(), Typing((Ground("g0"), None)), "literal")
 
 
 def test_lemma1_fixture_cases():
@@ -97,7 +111,7 @@ def test_lemma1_fixture_cases():
     gv = oracles.void2()
     clonev = classify(compute_clone(gv))
     varpiv = leibniz(gv, clonev)
-    typing = Typing((Ground("g0"), Ground("g0")), {})
+    typing = Typing((Ground("g0"), Ground("g0")))
     assert lemma1_check(gv, typing, clonev, varpiv) == (True, None)
 
 
@@ -105,7 +119,7 @@ def test_lemma1_detects_profile_split():
     g = oracles.three()
     clone = classify(compute_clone(g))
     varpi = leibniz(g, clone)
-    ok, (a, b, sep) = lemma1_check(g, Typing((Ground("g0"),) * 3, {}), clone, varpi)
+    ok, (a, b, sep) = lemma1_check(g, Typing((Ground("g0"),) * 3), clone, varpi)
     assert not ok
     assert (a.name, b.name) == ("a", "b")
     assert format_term(sep.witness) == "(prod var var)"
@@ -119,13 +133,13 @@ def test_typing_isomorphic():
     assert typing_isomorphic(reference, constructed)
     assert typing_isomorphic(constructed, constructed)
 
-    t_split = Typing((Ground("g0"), Ground("g1")), {})
-    t_same = Typing((Ground("g0"), Ground("g0")), {})
+    t_split = Typing((Ground("g0"), Ground("g1")))
+    t_same = Typing((Ground("g0"), Ground("g0")))
     assert not typing_isomorphic(t_same, t_split)
     assert not typing_isomorphic(t_split, t_same)
-    assert typing_isomorphic(t_split, Typing((Ground("u"), Ground("w")), {}))
+    assert typing_isomorphic(t_split, Typing((Ground("u"), Ground("w"))))
 
-    arrow = Typing((Arrow(Ground("g0"), Ground("g1")), Ground("g0")), {})
+    arrow = Typing((Arrow(Ground("g0"), Ground("g1")), Ground("g0")))
     assert not typing_isomorphic(arrow, t_split)
     with pytest.raises(InputError):
         typing_isomorphic(t_split, six_typing(g))
@@ -136,18 +150,18 @@ def test_verify_and_isomorphism_on_deep_types():
     chain = parse_type(" -> ".join(["g"] * 901))
     types = [Ground("g")] * g.size
     types[g.element("a").index] = chain
-    report = verify(g, Typing(tuple(types), {}), "strong")
+    report = verify(g, Typing(tuple(types)), "strong")
     assert not report.accepted
     assert not report.axiom1_forward_ok and not report.strictness_ok
     assert "a b = ab: product has type g, expected g -> g" in "".join(
         v.detail for v in report.failures)
 
     # tree size 2^61 - 1; matched pair by pair, not node by node
-    deep = Typing((oracles.doubling_type(60, "u"), Ground("u")), {})
-    renamed = Typing((oracles.doubling_type(60, "w"), Ground("w")), {})
+    deep = Typing((oracles.doubling_type(60, "u"), Ground("u")))
+    renamed = Typing((oracles.doubling_type(60, "w"), Ground("w")))
     assert typing_isomorphic(deep, renamed)
-    for other in (Typing((oracles.doubling_type(60, "w"), Ground("u")), {}),
-                  Typing((oracles.doubling_type(59, "w"), Ground("w")), {})):
+    for other in (Typing((oracles.doubling_type(60, "w"), Ground("u"))),
+                  Typing((oracles.doubling_type(59, "w"), Ground("w")))):
         assert not typing_isomorphic(deep, other)
 
 
