@@ -230,37 +230,48 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-def _cmd_stats(args):
+def _stats_row(args, budget, s):
     from . import congruence, polyclone, typability
+    cfg = _gen_config(args, s)
+    if cfg.mode == "arbitrary":
+        g = generators.gen_arbitrary(cfg)
+    else:
+        g, _ = generators.gen_typed(cfg)
+    clone = polyclone.compute_clone(g, budget)
+    classes = ""
+    if not clone.budget_hit:
+        classes = len(congruence.leibniz(g, clone).blocks)
+    kind, strong = "", ""
+    try:
+        decision = typability.decide(g, budget, args.reading, clone=clone)
+    except ResourceExhausted:
+        verdict = "resource-exhausted"
+    else:
+        if isinstance(decision, typability.Typable):
+            verdict = "typable"
+            strong = str(verifier.verify(g, decision.typing, "strong")
+                         .accepted_strong).lower()
+        else:
+            verdict = "untypable"
+            kind = ("cycle" if isinstance(decision.certificate, typability.Cycle)
+                    else "definite-violation")
+    return (f"{s},{args.size},{args.density},{verdict},{kind},"
+            f"{clone.op_count},{classes},{strong}\n")
+
+
+def _cmd_stats(args):
     budget = _budget(args)
+    seeds = range(args.seed, args.seed + args.count)
+    # every row has the same size, density and budget, so arguments that
+    # fail one row fail the first: it is made before the header, and a
+    # refused run prints nothing
+    first = [_stats_row(args, budget, s) for s in seeds[:1]]
     _emit("seed,n,density,verdict,certificate_kind,clone_size,"
           "class_count,strong_totality\n")
-    for s in range(args.seed, args.seed + args.count):
-        cfg = _gen_config(args, s)
-        if cfg.mode == "arbitrary":
-            g = generators.gen_arbitrary(cfg)
-        else:
-            g, _ = generators.gen_typed(cfg)
-        clone = polyclone.compute_clone(g, budget)
-        classes = ""
-        if not clone.budget_hit:
-            classes = len(congruence.leibniz(g, clone).blocks)
-        kind, strong = "", ""
-        try:
-            decision = typability.decide(g, budget, args.reading, clone=clone)
-        except ResourceExhausted:
-            verdict = "resource-exhausted"
-        else:
-            if isinstance(decision, typability.Typable):
-                verdict = "typable"
-                strong = str(verifier.verify(g, decision.typing, "strong")
-                             .accepted_strong).lower()
-            else:
-                verdict = "untypable"
-                kind = ("cycle" if isinstance(decision.certificate, typability.Cycle)
-                        else "definite-violation")
-        _emit(f"{s},{args.size},{args.density},{verdict},{kind},"
-              f"{clone.op_count},{classes},{strong}\n")
+    for line in first:
+        _emit(line)
+    for s in seeds[1:]:
+        _emit(_stats_row(args, budget, s))
     return EXIT_OK
 
 

@@ -15,6 +15,9 @@ from .pargoid import Pargoid
 from .types import Arrow, Ground, Typing
 
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 MODES = ("arbitrary", "typed_strong", "typed_literal")
 
@@ -29,10 +32,10 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        self.state = (self.state + GAMMA) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z = ((z ^ (z >> 30)) * MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX2) & MASK64
         return z ^ (z >> 31)
 
     def float01(self):
@@ -87,24 +90,35 @@ def _names(n):
 def gen_arbitrary(cfg):
     """Each ordered pair defined independently with probability density,
     the value uniform over the carrier. Draws run row-major: one float
-    per pair, one value draw when defined."""
+    per pair, one value draw when defined.
+
+    The draw loop inlines SplitMix64: a float draw (z >> 11) * 2**-53 is
+    below density exactly when z >> 11 < density * 2**53, and a value
+    draw is below(n), rejecting z >= limit.
+    """
     _check_common(cfg)
     if cfg.mode != "arbitrary":
         raise InputError("gen_arbitrary needs mode 'arbitrary'")
-    rng = SplitMix64(cfg.seed).split()
     n = cfg.size
+    state = SplitMix64(cfg.seed).split().state
+    threshold = cfg.density * 2.0 ** 53
+    limit = (1 << 64) - ((1 << 64) % n)
     table = {}
     for a in range(n):
         for b in range(n):
-            if rng.float01() < cfg.density:
-                table[(a, b)] = rng.below(n)
+            state = (state + GAMMA) & MASK64
+            z = ((state ^ (state >> 30)) * MIX1) & MASK64
+            z = ((z ^ (z >> 27)) * MIX2) & MASK64
+            if (z ^ (z >> 31)) >> 11 < threshold:
+                while True:
+                    state = (state + GAMMA) & MASK64
+                    z = ((state ^ (state >> 30)) * MIX1) & MASK64
+                    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+                    z ^= z >> 31
+                    if z < limit:
+                        break
+                table[(a, b)] = z % n
     return Pargoid(_names(n), table)
-
-
-def _type_depth(t):
-    if isinstance(t, Ground):
-        return 0
-    return 1 + max(_type_depth(t.antecedent), _type_depth(t.consequent))
 
 
 def _sample_type_set(cfg, rng):
@@ -119,16 +133,18 @@ def _sample_type_set(cfg, rng):
     if cfg.ground_count > cfg.size:
         raise InputError("more ground types than elements")
     pool = [Ground(f"g{i}") for i in range(cfg.ground_count)]
-    members = set(pool)
+    depth = dict.fromkeys(pool, 0)  # member -> arrow nesting depth
     extras = rng.below(cfg.size - cfg.ground_count + 1)
     for _ in range(2 * extras):
         if len(pool) == cfg.size:
             break
-        t = Arrow(pool[rng.below(len(pool))], pool[rng.below(len(pool))])
-        if t in members or _type_depth(t) > cfg.type_depth:
+        left, right = pool[rng.below(len(pool))], pool[rng.below(len(pool))]
+        t = Arrow(left, right)
+        d = 1 + max(depth[left], depth[right])
+        if t in depth or d > cfg.type_depth:
             continue
         pool.append(t)
-        members.add(t)
+        depth[t] = d
     return pool
 
 
@@ -162,17 +178,32 @@ def gen_typed(cfg):
     for e, t in enumerate(assignment):
         block_of.setdefault(t, []).append(e)
 
+    # the table stream, inlined as in gen_arbitrary: for each matching
+    # pair in row-major order, a float draw (typed_literal only), then a
+    # value draw when defined
+    state = table_rng.state
+    threshold = cfg.density * 2.0 ** 53 if cfg.mode == "typed_literal" else None
     table = {}
     for a in range(n):
         ta = assignment[a]
         if not isinstance(ta, Arrow):
             continue
-        for b in range(n):
-            if assignment[b] != ta.antecedent:
-                continue
-            if cfg.mode == "typed_literal" and not (table_rng.float01() < cfg.density):
-                continue
-            members = block_of[ta.consequent]
-            table[(a, b)] = members[table_rng.below(len(members))]
+        members = block_of[ta.consequent]
+        limit = (1 << 64) - ((1 << 64) % len(members))
+        for b in block_of.get(ta.antecedent, ()):
+            if threshold is not None:
+                state = (state + GAMMA) & MASK64
+                z = ((state ^ (state >> 30)) * MIX1) & MASK64
+                z = ((z ^ (z >> 27)) * MIX2) & MASK64
+                if (z ^ (z >> 31)) >> 11 >= threshold:
+                    continue
+            while True:
+                state = (state + GAMMA) & MASK64
+                z = ((state ^ (state >> 30)) * MIX1) & MASK64
+                z = ((z ^ (z >> 27)) * MIX2) & MASK64
+                z ^= z >> 31
+                if z < limit:
+                    break
+            table[(a, b)] = members[z % len(members)]
 
     return Pargoid(_names(n), table), Typing(tuple(assignment))

@@ -8,20 +8,23 @@ produced it as a witness.
 
 Closure is a worklist fixpoint over graphs, vectorized with numpy: graphs
 are rows of carrier indices using the carrier size as the "undefined"
-sentinel, so one fancy-indexed lookup computes a whole batch of pointwise
-products. compute_clone states the worklist order, which fixes the op
-numbering, and how batching keeps it. One stable sort dedupes a batch:
-each result row, zero-padded to whole 64-bit words, is sorted by its
-words, so equal rows form runs headed by their earliest pair, and each
-run's graph is looked up once.
+sentinel, each padded with that sentinel to whole 64-bit words. The
+undefined value times anything is undefined, so a padded product is
+padded too, and one kernel computes a batch of pointwise products: it
+gathers both factors' rows a word at a time and looks every cell up in
+the product table by one index. compute_clone states the worklist order,
+which fixes the op numbering, and how batching keeps it. One stable sort
+of the product rows by their words dedupes a batch: equal rows form runs
+headed by their earliest pair, and each run's graph is looked up once.
 
-A clone is its arrays: the graphs, each op's witness term, and one level
-and one seed byte per op, so memory is linear in the op count and the op
-budget is the only bound. Products are not stored but recomputed on
-demand. classify adds boolean masks for the trivial, constant and
-definite ops, which the decision reads with the domain matrix. A
-UnaryPolyOp is built, by CloneResult.op, only for an op that leaves the
-clone: in a certificate, a counterexample or a listing.
+A clone is its arrays: the padded rows, each new op's factor pair, and
+one level and one seed byte per op, so memory is linear in the op count
+and the op budget is the only bound. Witness terms are built from the
+factor pairs on first use, and products are not stored but recomputed
+on demand by the same kernel. classify adds boolean masks for the
+trivial, constant and definite ops, which the decision reads with the
+domain matrix. A UnaryPolyOp is built, by CloneResult.op, only for an op
+that leaves the clone: in a certificate, a counterexample or a listing.
 """
 from __future__ import annotations
 
@@ -216,25 +219,74 @@ class UnaryPolyOp:
         return tuple(i for i, v in enumerate(self.graph) if v is not None)
 
 
+class _Terms:
+    """Each op's first term, built from the closure's factor pairs.
+
+    The seed ops come with their terms, and their rows of factors are
+    unused. Every later op i is the product of the two earlier ops
+    factors[i], so its term is the Prod of theirs.
+    A term is built on first use, once, with its subterms shared by
+    reference; a clone and its classified copies share one _Terms.
+    """
+
+    __slots__ = ("_terms", "_factors", "_all")
+
+    def __init__(self, seeds, factors):
+        self._terms = list(seeds) + [None] * (len(factors) - len(seeds))
+        self._factors = factors
+        self._all = None
+
+    def term(self, i):
+        """Op i's term, building only the subterms not built yet."""
+        terms = self._terms
+        stack = [i]
+        while stack:
+            j = stack[-1]
+            if terms[j] is not None:
+                stack.pop()
+                continue
+            p, q = self._factors[j].tolist()
+            if terms[p] is not None and terms[q] is not None:
+                terms[j] = Prod(terms[p], terms[q])
+                stack.pop()
+            else:
+                stack += (p, q)
+        return terms[i]
+
+    def all(self):
+        """Every op's term, as one tuple built on first use."""
+        if self._all is None:
+            terms = self._terms
+            # factors precede their product, so one ascending pass suffices
+            for j, (p, q) in enumerate(self._factors.tolist()):
+                if terms[j] is None:
+                    terms[j] = Prod(terms[p], terms[q])
+            self._all = tuple(terms)
+        return self._all
+
+
 @dataclass(eq=False, slots=True)
 class CloneResult:
     """Clone ops in construction order, as arrays.
 
     Row i of the read-only graphs array is op i's value table, with the
-    carrier size as the undefined value, and witnesses[i] is its first
-    term. reading is None until classify adds the read-only boolean masks
-    trivial, constant and definite; a classified clone shares the arrays
+    carrier size as the undefined value. It is a view of row i of _words,
+    which holds the same table padded with the undefined value to whole
+    64-bit words. witnesses[i] is op i's first term. reading is None
+    until classify adds the read-only boolean masks trivial, constant and
+    definite; a classified clone shares the arrays and the witness terms
     of the clone it came from. op(i) builds op i as a UnaryPolyOp; ops
     builds them all on first use.
     """
 
     graphs: np.ndarray
-    witnesses: tuple
     budget_hit: bool
+    _words: np.ndarray
     _mult: np.ndarray
     _level: np.ndarray
     _seed: np.ndarray
     _index: dict
+    _terms: _Terms
     reading: str | None = None
     trivial: np.ndarray | None = None
     constant: np.ndarray | None = None
@@ -247,7 +299,12 @@ class CloneResult:
 
     @property
     def op_count(self):
-        return len(self.witnesses)
+        return self.graphs.shape[0]
+
+    @property
+    def witnesses(self):
+        """Each op's first term, built on first use."""
+        return self._terms.all()
 
     def op(self, i):
         """Op i as a UnaryPolyOp, with its flags once classified."""
@@ -255,7 +312,7 @@ class CloneResult:
         graph = tuple(None if v == n else v for v in self.graphs[i].tolist())
         flags = () if self.reading is None else (
             bool(self.trivial[i]), bool(self.constant[i]), bool(self.definite[i]))
-        return UnaryPolyOp(graph, self.witnesses[i], *flags)
+        return UnaryPolyOp(graph, self._terms.term(i), *flags)
 
     @property
     def ops(self):
@@ -284,18 +341,23 @@ class CloneResult:
     def products(self, left, right):
         """Sorted distinct op indices of ops[i]·ops[j], i in left, j in right.
 
-        Computed on demand from the graphs, in bounded memory. A closed
-        clone holds every product, so a missing one is a bug alarm; on a
-        truncated clone, products it has not reached are left out.
+        Computed on demand from the padded rows, in bounded memory. A
+        closed clone holds every product, so a missing one is a bug
+        alarm; on a truncated clone, products it has not reached are
+        left out.
         """
         n = self.carrier_size
-        right = self.graphs[right].astype(np.intp)
+        left = np.asarray(left, dtype=np.intp)
+        right = np.asarray(right, dtype=np.intp)
+        width = 8 * self._words.shape[1]
         keys = set()
-        step = max(1, _PRODUCT_CHUNK // max(1, right.size))
-        for s in range(0, len(left), step):
-            rows = self.graphs[left[s:s + step]].astype(np.intp)[:, None, :]
-            data = self._mult[rows * (n + 1) + right[None]].tobytes()
-            keys.update(data[k:k + n] for k in range(0, len(data), n))
+        step = max(1, _PRODUCT_CHUNK // max(1, right.size * width))
+        for s in range(0, left.size, step):
+            rows = _products(self._words, self._mult, left[s:s + step, None], right)
+            rows = rows.reshape(-1, width)
+            order, heads = _runs(rows)
+            data = rows[order[heads]].tobytes()
+            keys.update(data[k:k + n] for k in range(0, len(data), width))
         ops = [self._index.get(key) for key in keys]
         if None in ops:
             if not self.budget_hit:
@@ -309,6 +371,32 @@ class CloneResult:
             raise InputError("op index out of range")
         r = self.products([i], [j])
         return int(r[0]) if r.size else None
+
+
+def _products(words, mult, left, right):
+    """Padded rows of the pointwise products words[l]·words[r], for the
+    op indices l in left and r in right broadcast against each other.
+
+    Both factors are gathered a word at a time, and each cell pair (a, b)
+    becomes one index a * (n + 1) + b into the (n + 1)-square product
+    table read flat, which fits uint16 as n <= MAX_CARRIER. Pad cells hold
+    the undefined value, whose products are undefined, so the product
+    rows are padded too.
+    """
+    idx = words.take(left, axis=0).view(np.uint8) * np.uint16(mult.shape[0])
+    return mult.take(idx + words.take(right, axis=0).view(np.uint8))
+
+
+def _runs(rows):
+    """Sort padded rows stably by their words: equal rows form runs of
+    the sorted order, and the stable sort puts each run's earliest row at
+    its head. Returns the order and the heads' places in it."""
+    packed = rows.view(np.uint64)
+    order = np.lexsort(packed.T)
+    ordered = packed[order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, start.nonzero()[0]
 
 
 def _levels(rows, undef):
@@ -332,10 +420,13 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     earliest pair, which is the numbering of one product at a time.
     The budget counts ops, not products: once it is reached, the next new
     graph sets budget_hit and the closure stops there, or raises when the
-    caller asked for exactness. Each op also records its level (0 total
-    constant, 1 constant on its domain only, 2 nonconstant) and its seed:
-    the highest level of a right factor q over the pairs p·q that produce
-    it. classify reads the definite seeds off the latter.
+    caller asked for exactness. Each op is kept as its graph padded to
+    whole 64-bit words, and each op past the seeds as its earliest factor
+    pair (p, q), from which its witness term is built on first use. Each
+    op also records its level (0 total constant, 1 constant on its domain
+    only, 2 nonconstant) and its seed: the highest level of a right factor
+    q over the pairs p·q that produce it. classify reads the definite
+    seeds off the latter.
     """
     n = g.size
     if n > MAX_CARRIER:
@@ -343,29 +434,29 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     if budget < n + 1:
         raise InputError(f"clone budget must be at least {n + 1}")
     undef = n
-    nn = n + 1
-    mult = np.full(nn * nn, undef, dtype=np.uint8)
+    mult = np.full((n + 1, n + 1), undef, dtype=np.uint8)
     for (a, b), c in g.table.items():
-        mult[a * nn + b] = c
+        mult[a, b] = c
 
-    # graphs widened to indices once, as they are recorded
+    width = 8 * -(-n // 8)  # bytes in a row padded to whole 64-bit words
     cap = 256  # holds the n + 1 seed ops, as n <= MAX_CARRIER
-    wide = np.empty((cap, n), dtype=np.intp)
+    words = np.full((cap, width), undef, dtype=np.uint8).view(np.uint64)
+    factors = np.zeros((cap, 2), dtype=np.int32)
     level = np.empty(cap, dtype=np.int8)
     seeds = np.zeros(cap, dtype=np.int8)
-    witnesses = []
+    terms = []
     index = {}
+    padded = words.view(np.uint8)
     for row, term in [(range(n), VAR)] + [((e,) * n, Const(g.element(e)))
                                            for e in range(n)]:
         key = bytes(row)
         if key not in index:
-            index[key] = len(witnesses)
-            wide[len(witnesses)] = row
-            witnesses.append(term)
-    m = len(witnesses)
-    level[:m] = _levels(wide[:m], undef)
+            index[key] = len(terms)
+            padded[len(terms), :n] = row
+            terms.append(term)
+    m = len(terms)
+    level[:m] = _levels(padded[:m, :n], undef)
 
-    width = 8 * -(-n // 8)  # bytes in a row padded to whole 64-bit words
     budget_hit = False
     done = 0
     while done < m:
@@ -373,31 +464,21 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
         end = min(m, max(done + 1, math.isqrt(done * done + _PAIR_CAP)))
         span = np.arange(done, end)
         op = np.repeat(span, 2 * span + 1)
-        k = len(op)
-        t = np.arange(k) + (done * done - op * op)  # place in the op's pairs
+        t = np.arange(len(op)) + (done * done - op * op)  # place in the op's pairs
         lead = t <= op
         left = np.where(lead, t, op)
         right = np.where(lead, op, t - op - 1)
-        # result rows, zero-padded to whole 64-bit words
-        packed = np.zeros((k, width), dtype=np.uint8)
-        rows = packed[:, :n]
-        rows[:] = mult[wide[left] * nn + wide[right]]
-        # dedupe the batch: sort the rows stably by their words, so equal
-        # rows form runs of the sorted order, starting at heads, and the
-        # stable sort puts each run's earliest pair, first[u], at its head
-        words = packed.view(np.uint64)
-        order = np.lexsort(words.T)
-        ordered = words[order]
-        start = np.ones(k, dtype=bool)
-        start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        heads = np.flatnonzero(start)
+        # dedupe the batch: each run of equal product rows starts with its
+        # earliest pair, first[u]
+        rows = _products(words, mult, left, right)
+        order, heads = _runs(rows)
         first = order[heads]
         # runs in the order of their earliest pair: ops keep discovery order;
         # each run's graph is looked up once
         rank = np.argsort(first)
         earliest = first[rank]
         data = rows[earliest].tobytes()
-        found = [index.get(data[s:s + n]) for s in range(0, len(data), n)]
+        found = [index.get(data[s:s + n]) for s in range(0, len(data), width)]
         new = [r for r, f in enumerate(found) if f is None]
         # the closure stops at the earliest pair of the first new graph
         # past the budget
@@ -407,18 +488,20 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
         if new:
             if m + len(new) > cap:
                 cap = max(2 * cap, m + len(new))
-                wide = np.resize(wide, (cap, n))
+                words = np.resize(words, (cap, width // 8))
+                factors = np.resize(factors, (cap, 2))
                 level = np.resize(level, cap)
                 seeds = np.resize(seeds, cap)
-            pairs = earliest[new]
-            for r, p, q in zip(new, left[pairs].tolist(), right[pairs].tolist()):
-                index[data[r * n:(r + 1) * n]] = found[r] = m
-                witnesses.append(Prod(witnesses[p], witnesses[q]))
+            for r in new:
+                index[data[r * width:r * width + n]] = found[r] = m
                 m += 1
-            fresh = rows[pairs]
-            wide[m - len(new):m] = fresh
-            level[m - len(new):m] = _levels(fresh, undef)
-            seeds[m - len(new):m] = 0
+            pairs = earliest[new]
+            fresh = slice(m - len(new), m)
+            words[fresh] = rows[pairs].view(np.uint64)
+            factors[fresh, 0] = left[pairs]
+            factors[fresh, 1] = right[pairs]
+            level[fresh] = _levels(rows[pairs, :n], undef)
+            seeds[fresh] = 0
         if budget_hit:
             break
         res = np.empty(len(heads), dtype=np.intp)  # run -> op index
@@ -430,11 +513,13 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
 
     if budget_hit and exact:
         raise ResourceExhausted("clone", budget)
-    graphs = wide[:m].astype(np.uint8)
-    level, seeds = level[:m].copy(), seeds[:m].copy()
-    for arr in (mult, graphs, level, seeds):
+    words, level, seeds = words[:m].copy(), level[:m].copy(), seeds[:m].copy()
+    for arr in (mult, words, level, seeds):
         arr.setflags(write=False)
-    return CloneResult(graphs, tuple(witnesses), budget_hit, mult, level, seeds, index)
+    # a view of the read-only words is read-only too
+    graphs = words.view(np.uint8)[:, :n]
+    return CloneResult(graphs, budget_hit, words, mult, level, seeds, index,
+                       _Terms(terms, factors[:m].copy()))
 
 
 def classify(clone, reading="total"):

@@ -99,54 +99,59 @@ def pointwise(g, p, q):
 
 
 def brute_force_clone_graphs(g):
-    """Clone graph set by naive iterate-all-pairs fixpoint over tuples."""
+    """Clone graph set by a pairs fixpoint over tuples: each round
+    multiplies every graph with each one first found in the round before,
+    both ways, until a round finds nothing new."""
     n = g.size
     graphs = {tuple(range(n))} | {(b,) * n for b in range(n)}
-    while True:
+    fresh = graphs
+    while fresh:
         new = set()
         for p in graphs:
-            for q in graphs:
-                r = pointwise(g, p, q)
-                if r not in graphs:
-                    new.add(r)
-        if not new:
-            return graphs
-        graphs |= new
+            for q in fresh:
+                new.add(pointwise(g, p, q))
+                new.add(pointwise(g, q, p))
+        fresh = new - graphs
+        graphs |= fresh
+    return graphs
 
 
 def worklist_clone(g):
     """Clone graphs in the documented discovery order, one product at a time,
-    and the generations of that worklist.
+    their witness terms, and the generations of that worklist.
 
     Identity, then each constant map, then for the op under work, i, the
     products ops[j].ops[i] for j <= i followed by ops[i].ops[j] for j < i;
-    a graph is numbered when first seen. Generation 0 is the seed ops;
-    generation k + 1 is the ops first seen while working generation k.
-    Each is a half-open op range (lo, hi).
+    a graph is numbered when first seen, and its term is the product of
+    its factors' terms. Generation 0 is the seed ops; generation k + 1 is
+    the ops first seen while working generation k. Each is a half-open op
+    range (lo, hi).
     """
     n = g.size
     order = []
+    terms = []
     seen = set()
 
-    def add(graph):
+    def add(graph, term):
         if graph not in seen:
             seen.add(graph)
             order.append(graph)
+            terms.append(term)
 
-    add(tuple(range(n)))
+    add(tuple(range(n)), polyclone.VAR)
     for b in range(n):
-        add((b,) * n)
+        add((b,) * n, polyclone.Const(g.element(b)))
     generations = [(0, len(order))]
     i = 0
     while i < len(order):
         if i == generations[-1][1]:
             generations.append((i, len(order)))
         for j in range(i + 1):
-            add(pointwise(g, order[j], order[i]))
+            add(pointwise(g, order[j], order[i]), polyclone.Prod(terms[j], terms[i]))
         for j in range(i):
-            add(pointwise(g, order[i], order[j]))
+            add(pointwise(g, order[i], order[j]), polyclone.Prod(terms[i], terms[j]))
         i += 1
-    return order, generations
+    return order, terms, generations
 
 
 def doubling_chain(n):
@@ -337,3 +342,59 @@ def typed_literal_batch(count, seed0):
                                    ground_count=1 + (k // 3) % 2)
         out.append(generators.gen_typed(cfg)[0])
     return out
+
+
+def gen_arbitrary_reference(cfg):
+    """gen_arbitrary drawn through SplitMix64's methods: one float01 per
+    pair in row-major order, one below(n) per defined pair."""
+    rng = generators.SplitMix64(cfg.seed).split()
+    n = cfg.size
+    table = {}
+    for a in range(n):
+        for b in range(n):
+            if rng.float01() < cfg.density:
+                table[(a, b)] = rng.below(n)
+    return pargoid.Pargoid(tuple(f"e{i}" for i in range(n)), table)
+
+
+def _type_depth(t):
+    if isinstance(t, types.Ground):
+        return 0
+    return 1 + max(_type_depth(t.antecedent), _type_depth(t.consequent))
+
+
+def gen_typed_reference(cfg):
+    """gen_typed drawn through SplitMix64's methods, with each candidate
+    type's depth recomputed by recursion and every pair of the table
+    scanned for a type match."""
+    root = generators.SplitMix64(cfg.seed)
+    table_rng = root.split()
+    type_rng = root.split()
+    n = cfg.size
+    pool = [types.Ground(f"g{i}") for i in range(cfg.ground_count)]
+    extras = type_rng.below(n - cfg.ground_count + 1)
+    for _ in range(2 * extras):
+        if len(pool) == n:
+            break
+        t = types.Arrow(pool[type_rng.below(len(pool))], pool[type_rng.below(len(pool))])
+        if t not in pool and _type_depth(t) <= cfg.type_depth:
+            pool.append(t)
+    k = len(pool)
+    assignment = pool + [pool[type_rng.below(k)] for _ in range(n - k)]
+    for i in range(n - 1, 0, -1):
+        j = type_rng.below(i + 1)
+        assignment[i], assignment[j] = assignment[j], assignment[i]
+    table = {}
+    for a in range(n):
+        ta = assignment[a]
+        if not isinstance(ta, types.Arrow):
+            continue
+        for b in range(n):
+            if assignment[b] != ta.antecedent:
+                continue
+            if cfg.mode == "typed_literal" and not table_rng.float01() < cfg.density:
+                continue
+            members = [e for e in range(n) if assignment[e] == ta.consequent]
+            table[(a, b)] = members[table_rng.below(len(members))]
+    return (pargoid.Pargoid(tuple(f"e{i}" for i in range(n)), table),
+            types.Typing(tuple(assignment)))

@@ -402,6 +402,15 @@ def test_stats_reports_resource_exhaustion():
                                     "3,6,0.5,resource-exhausted,,12,,", ""]
 
 
+def test_stats_refuses_arguments_before_any_output():
+    code, out, err = run(["stats", "--seed", "0", "--count", "4", "--size", "6",
+                          "--mode", "typed_strong", "--budget", "6"])
+    assert (code, out) == (2, "")
+    assert err == "error: clone budget must be at least 7\n"
+    code, out, _ = run(["stats", "--seed", "0", "--count", "2", "--size", "0"])
+    assert (code, out) == (2, "")
+
+
 def test_internal_error_exits_4(monkeypatch):
     def broken(g, varpi):
         raise InternalError("application order contains a cycle")

@@ -8,6 +8,8 @@ from pargoids.pargoid import serialize
 from pargoids.types import Ground, format_type
 from pargoids.verifier import verify
 
+import oracles
+
 
 def test_splitmix_reference_values():
     # published test vectors of the standard splitmix64 stream
@@ -141,3 +143,22 @@ def test_gen_typed_every_type_inhabited():
         assert len(typing.types) == g.size
         grounds = {Ground(f"g{i}") for i in range(cfg.ground_count)}
         assert grounds <= set(typing.types)
+
+
+def test_inlined_draws_match_the_class_reference():
+    # the generators inline SplitMix64; the references draw through its
+    # methods, so equal bytes mean equal streams
+    for n in range(1, 41):
+        for k, density in enumerate((0.0, 0.05, 0.5, 0.99, 1.0)):
+            cfg = GenConfig(size=n, seed=1000 * n + k, density=density)
+            assert serialize(gen_arbitrary(cfg)) == serialize(oracles.gen_arbitrary_reference(cfg))
+        for depth in range(5):
+            for k, (mode, density) in enumerate((("typed_strong", 0.5), ("typed_literal", 0.05),
+                                                 ("typed_literal", 0.5), ("typed_literal", 0.99),
+                                                 ("typed_literal", 1.0))):
+                cfg = GenConfig(size=n, seed=7 * n + 100 * depth + k, mode=mode, density=density,
+                                type_depth=depth, ground_count=1 + (n + k) % min(n, 3))
+                g, typing = gen_typed(cfg)
+                ref, ref_typing = oracles.gen_typed_reference(cfg)
+                assert serialize(g) == serialize(ref)
+                assert typing.types == ref_typing.types

@@ -4,7 +4,8 @@ from pargoids import polyclone, typability, verifier
 from pargoids.congruence import leibniz
 from pargoids.errors import InputError, InternalError, ResourceExhausted
 from pargoids.pargoid import Pargoid
-from pargoids.polyclone import UnaryPolyOp, VAR, classify, compute_clone, format_term
+from pargoids.polyclone import (Prod, UnaryPolyOp, VAR, classify, compute_clone,
+                                format_term)
 from pargoids.typability import (Cycle, DefiniteViolation, Typable, Untypable,
                                  check_claim_star, check_condition_i,
                                  check_condition_ii, construct_typing, decide,
@@ -286,6 +287,30 @@ def test_decide_builds_op_objects_only_for_a_certificate(monkeypatch):
     assert built == []
     cert = decide(quad()).certificate
     assert sorted(built, key=repr) == sorted([cert.op.graph, cert.separator.graph], key=repr)
+
+
+def test_decide_builds_witness_terms_only_for_a_certificate(monkeypatch):
+    built = []
+    init = Prod.__init__
+
+    def counting(self, left, right):
+        built.append(self)
+        init(self, left, right)
+
+    monkeypatch.setattr(Prod, "__init__", counting)
+    for g in (oracles.six(), oracles.doubling_chain(12)):
+        assert isinstance(decide(g), Typable)
+    assert built == []
+    # a certificate builds the products in its two witnesses and no others
+    cert = decide(quad()).certificate
+    nodes, stack = set(), [cert.op.witness, cert.separator.witness]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Prod) and id(t) not in nodes:
+            nodes.add(id(t))
+            stack += (t.left, t.right)
+    assert len(built) == len(nodes) > 0
+    assert {id(t) for t in built} == nodes
 
 
 def test_validate_certificate_rejects_indefinite_op():
