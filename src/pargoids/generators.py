@@ -15,9 +15,6 @@ from .pargoid import Pargoid
 from .types import Arrow, Ground, Typing
 
 MASK64 = (1 << 64) - 1
-GAMMA = 0x9E3779B97F4A7C15
-MIX1 = 0xBF58476D1CE4E5B9
-MIX2 = 0x94D049BB133111EB
 
 MODES = ("arbitrary", "typed_strong", "typed_literal")
 
@@ -32,10 +29,10 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next64(self):
-        self.state = (self.state + GAMMA) & MASK64
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX2) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
     def float01(self):
@@ -90,34 +87,17 @@ def _names(n):
 def gen_arbitrary(cfg):
     """Each ordered pair defined independently with probability density,
     the value uniform over the carrier. Draws run row-major: one float
-    per pair, one value draw when defined.
-
-    The draw loop inlines SplitMix64: a float draw (z >> 11) * 2**-53 is
-    below density exactly when z >> 11 < density * 2**53, and a value
-    draw is below(n), rejecting z >= limit.
-    """
+    per pair, one value draw when defined."""
     _check_common(cfg)
     if cfg.mode != "arbitrary":
         raise InputError("gen_arbitrary needs mode 'arbitrary'")
+    rng = SplitMix64(cfg.seed).split()
     n = cfg.size
-    state = SplitMix64(cfg.seed).split().state
-    threshold = cfg.density * 2.0 ** 53
-    limit = (1 << 64) - ((1 << 64) % n)
     table = {}
     for a in range(n):
         for b in range(n):
-            state = (state + GAMMA) & MASK64
-            z = ((state ^ (state >> 30)) * MIX1) & MASK64
-            z = ((z ^ (z >> 27)) * MIX2) & MASK64
-            if (z ^ (z >> 31)) >> 11 < threshold:
-                while True:
-                    state = (state + GAMMA) & MASK64
-                    z = ((state ^ (state >> 30)) * MIX1) & MASK64
-                    z = ((z ^ (z >> 27)) * MIX2) & MASK64
-                    z ^= z >> 31
-                    if z < limit:
-                        break
-                table[(a, b)] = z % n
+            if rng.float01() < cfg.density:
+                table[(a, b)] = rng.below(n)
     return Pargoid(_names(n), table)
 
 
@@ -178,32 +158,17 @@ def gen_typed(cfg):
     for e, t in enumerate(assignment):
         block_of.setdefault(t, []).append(e)
 
-    # the table stream, inlined as in gen_arbitrary: for each matching
-    # pair in row-major order, a float draw (typed_literal only), then a
-    # value draw when defined
-    state = table_rng.state
-    threshold = cfg.density * 2.0 ** 53 if cfg.mode == "typed_literal" else None
+    # each arrow-typed a meets only the block typed dom(T_a), in the
+    # ascending order of a full row scan
     table = {}
     for a in range(n):
         ta = assignment[a]
         if not isinstance(ta, Arrow):
             continue
         members = block_of[ta.consequent]
-        limit = (1 << 64) - ((1 << 64) % len(members))
         for b in block_of.get(ta.antecedent, ()):
-            if threshold is not None:
-                state = (state + GAMMA) & MASK64
-                z = ((state ^ (state >> 30)) * MIX1) & MASK64
-                z = ((z ^ (z >> 27)) * MIX2) & MASK64
-                if (z ^ (z >> 31)) >> 11 >= threshold:
-                    continue
-            while True:
-                state = (state + GAMMA) & MASK64
-                z = ((state ^ (state >> 30)) * MIX1) & MASK64
-                z = ((z ^ (z >> 27)) * MIX2) & MASK64
-                z ^= z >> 31
-                if z < limit:
-                    break
-            table[(a, b)] = members[z % len(members)]
+            if cfg.mode == "typed_literal" and not (table_rng.float01() < cfg.density):
+                continue
+            table[(a, b)] = members[table_rng.below(len(members))]
 
     return Pargoid(_names(n), table), Typing(tuple(assignment))

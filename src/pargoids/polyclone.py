@@ -242,26 +242,21 @@ class _Terms:
         stack = [i]
         while stack:
             j = stack[-1]
-            if terms[j] is not None:
-                stack.pop()
-                continue
-            p, q = self._factors[j].tolist()
-            if terms[p] is not None and terms[q] is not None:
+            if terms[j] is None:
+                p, q = self._factors[j].tolist()
+                if terms[p] is None or terms[q] is None:
+                    stack += (p, q)
+                    continue
                 terms[j] = Prod(terms[p], terms[q])
-                stack.pop()
-            else:
-                stack += (p, q)
+            stack.pop()
         return terms[i]
 
     def all(self):
         """Every op's term, as one tuple built on first use."""
         if self._all is None:
-            terms = self._terms
-            # factors precede their product, so one ascending pass suffices
-            for j, (p, q) in enumerate(self._factors.tolist()):
-                if terms[j] is None:
-                    terms[j] = Prod(terms[p], terms[q])
-            self._all = tuple(terms)
+            # factors precede their product, so in ascending order each
+            # term is one step
+            self._all = tuple(map(self.term, range(len(self._terms))))
         return self._all
 
 
@@ -379,11 +374,14 @@ def _products(words, mult, left, right):
 
     Both factors are gathered a word at a time, and each cell pair (a, b)
     becomes one index a * (n + 1) + b into the (n + 1)-square product
-    table read flat, which fits uint16 as n <= MAX_CARRIER. Pad cells hold
-    the undefined value, whose products are undefined, so the product
-    rows are padded too.
+    table read flat, which fits uint16 as n <= MAX_CARRIER. The multiply
+    names its uint16 result type, since a uint8 array times a scalar
+    stays uint8 under value-based casting (NumPy before 2) and would wrap.
+    Pad cells hold the undefined value, whose products are undefined, so
+    the product rows are padded too.
     """
-    idx = words.take(left, axis=0).view(np.uint8) * np.uint16(mult.shape[0])
+    idx = np.multiply(words.take(left, axis=0).view(np.uint8), mult.shape[0],
+                      dtype=np.uint16)
     return mult.take(idx + words.take(right, axis=0).view(np.uint8))
 
 

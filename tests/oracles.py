@@ -344,19 +344,6 @@ def typed_literal_batch(count, seed0):
     return out
 
 
-def gen_arbitrary_reference(cfg):
-    """gen_arbitrary drawn through SplitMix64's methods: one float01 per
-    pair in row-major order, one below(n) per defined pair."""
-    rng = generators.SplitMix64(cfg.seed).split()
-    n = cfg.size
-    table = {}
-    for a in range(n):
-        for b in range(n):
-            if rng.float01() < cfg.density:
-                table[(a, b)] = rng.below(n)
-    return pargoid.Pargoid(tuple(f"e{i}" for i in range(n)), table)
-
-
 def _type_depth(t):
     if isinstance(t, types.Ground):
         return 0
@@ -364,9 +351,8 @@ def _type_depth(t):
 
 
 def gen_typed_reference(cfg):
-    """gen_typed drawn through SplitMix64's methods, with each candidate
-    type's depth recomputed by recursion and every pair of the table
-    scanned for a type match."""
+    """gen_typed with each candidate type's depth recomputed by recursion
+    and every pair of the table scanned for a type match."""
     root = generators.SplitMix64(cfg.seed)
     table_rng = root.split()
     type_rng = root.split()

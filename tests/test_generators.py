@@ -145,13 +145,11 @@ def test_gen_typed_every_type_inhabited():
         assert grounds <= set(typing.types)
 
 
-def test_inlined_draws_match_the_class_reference():
-    # the generators inline SplitMix64; the references draw through its
-    # methods, so equal bytes mean equal streams
+def test_gen_typed_matches_the_scan_reference():
+    # gen_typed walks each antecedent block and reads type depths from a
+    # dict; the reference scans every pair and recurses for each depth,
+    # so equal bytes mean the same draws in the same order
     for n in range(1, 41):
-        for k, density in enumerate((0.0, 0.05, 0.5, 0.99, 1.0)):
-            cfg = GenConfig(size=n, seed=1000 * n + k, density=density)
-            assert serialize(gen_arbitrary(cfg)) == serialize(oracles.gen_arbitrary_reference(cfg))
         for depth in range(5):
             for k, (mode, density) in enumerate((("typed_strong", 0.5), ("typed_literal", 0.05),
                                                  ("typed_literal", 0.5), ("typed_literal", 0.99),

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pargoids import polyclone
@@ -143,8 +144,11 @@ WORD_BOUNDARY_SIZES = (7, 8, 9, 15, 16, 17, 23, 25)
 
 
 def word_boundary_inputs(seed0, densities=(0.05, 0.1)):
-    """Sparse tables and doubling chains at the word boundaries."""
-    tables = oracles.arbitrary_batch(8, WORD_BOUNDARY_SIZES, densities, seed0)
+    """Sparse tables and doubling chains at the word boundaries: two
+    tables each of 8, 9, 16 and 17 elements from seeds seed0 to seed0 + 7,
+    and one each of 7, 15, 23 and 25 elements from the next four seeds."""
+    tables = (oracles.arbitrary_batch(8, (8, 9, 16, 17), densities, seed0)
+              + oracles.arbitrary_batch(4, (7, 15, 23, 25), densities, seed0 + 8))
     return ([g for _, g in tables]
             + [oracles.doubling_chain(n) for n in WORD_BOUNDARY_SIZES])
 
@@ -212,6 +216,20 @@ def test_padding_stays_out_of_the_clone():
         assert all(len(op.graph) == n for op in clone.ops)
 
 
+def test_products_read_every_cell_of_the_table():
+    # a cell's index a * (n + 1) + b passes 255 from 16 elements on and
+    # reaches 65,535 at MAX_CARRIER, so it must not be kept in uint8
+    for n in (8, 17, 40, polyclone.MAX_CARRIER):
+        g = oracles.arbitrary_batch(1, (n,), (0.9,), 8900 + n)[0][1]
+        clone = compute_clone(g, budget=n + 1)
+        ops = np.arange(0, clone.op_count, max(1, clone.op_count // 32))
+        rows = polyclone._products(clone._words, clone._mult, ops[:, None], ops)
+        cells = clone._words.view(np.uint8).astype(np.intp)
+        expected = clone._mult[cells[ops][:, None], cells[ops][None, :]]
+        assert rows.dtype == np.uint8
+        assert (rows == expected).all()
+
+
 def test_truncated_clone_is_a_prefix():
     # each budget stops the closure at its own pair, wherever it falls
     # in a batch
@@ -232,10 +250,7 @@ def test_clone_matches_brute_force():
     for g in fixtures + randoms + word_boundary_inputs(7600):
         clone = compute_clone(g)
         assert not clone.budget_hit
-        # the fixpoint multiplies about ops² pairs in Python: the one larger
-        # clone here, 2,247 ops on 25 elements, would take minutes
-        if clone.op_count <= 1000:
-            assert {op.graph for op in clone.ops} == oracles.brute_force_clone_graphs(g)
+        assert {op.graph for op in clone.ops} == oracles.brute_force_clone_graphs(g)
 
 
 def test_witnesses_evaluate_to_graphs():
