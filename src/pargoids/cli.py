@@ -8,7 +8,8 @@ pargoids/schemas/. In literal mode, verify's text output labels totality
 failures as informational, since they do not decide acceptance.
 
 The numpy-backed modules (polyclone, typability, congruence) are imported
-by the subcommands that compute a clone, so verify and gen load no numpy.
+by the subcommands that compute a clone, so verify and gen load no numpy;
+the generators are imported only by gen and stats.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ import json
 import os
 import sys
 
-from . import generators, pargoid, verifier
-from .defaults import DEFAULT_BUDGET, READINGS
+from . import pargoid, verifier
+from .defaults import DEFAULT_BUDGET, GEN_MODES, READINGS
 from .errors import InputError, InternalError, ResourceExhausted
 from .types import format_type
 
@@ -210,12 +211,14 @@ def _cmd_congruence(args):
 
 
 def _gen_config(args, seed):
+    from . import generators
     return generators.GenConfig(
         size=args.size, seed=seed, mode=args.mode, density=args.density,
         type_depth=args.type_depth, ground_count=args.ground_count)
 
 
 def _cmd_gen(args):
+    from . import generators
     cfg = _gen_config(args, args.seed)
     if cfg.mode == "arbitrary":
         if args.with_typing:
@@ -231,7 +234,7 @@ def _cmd_gen(args):
 
 
 def _stats_row(args, budget, s):
-    from . import congruence, polyclone, typability
+    from . import congruence, generators, polyclone, typability
     cfg = _gen_config(args, s)
     if cfg.mode == "arbitrary":
         g = generators.gen_arbitrary(cfg)
@@ -389,7 +392,7 @@ def _build_parser():
                            help="carrier size")
     gen_flags.add_argument("--density", type=float, default=0.5,
                            help="probability each product is defined")
-    gen_flags.add_argument("--mode", choices=generators.MODES,
+    gen_flags.add_argument("--mode", choices=GEN_MODES,
                            default="arbitrary")
     gen_flags.add_argument("--type-depth", type=int, default=2,
                            help="max arrow nesting in typed modes")

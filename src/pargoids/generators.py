@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .defaults import GEN_MODES
 from .errors import InputError
 from .pargoid import Pargoid
 from .types import Arrow, Ground, Typing
 
 MASK64 = (1 << 64) - 1
-
-MODES = ("arbitrary", "typed_strong", "typed_literal")
 
 
 class SplitMix64:
@@ -76,7 +75,7 @@ def _check_common(cfg):
         raise InputError("carrier size must be at least 1")
     if not 0.0 <= cfg.density <= 1.0:
         raise InputError("density must lie in [0, 1]")
-    if cfg.mode not in MODES:
+    if cfg.mode not in GEN_MODES:
         raise InputError(f"unknown generation mode {cfg.mode!r}")
 
 

@@ -13,9 +13,10 @@ undefined value times anything is undefined, so a padded product is
 padded too, and one kernel computes a batch of pointwise products: it
 gathers both factors' rows a word at a time and looks every cell up in
 the product table by one index. compute_clone states the worklist order,
-which fixes the op numbering, and how batching keeps it. One stable sort
-of the product rows by their words dedupes a batch: equal rows form runs
-headed by their earliest pair, and each run's graph is looked up once.
+which fixes the op numbering, and how batching keeps it. Sorting the
+product rows by their words dedupes a batch: equal rows form runs, each
+run's earliest pair is the least pair index in it, whatever order the
+sort leaves within the run, and each run's graph is looked up once.
 
 A clone is its arrays: the padded rows, each new op's factor pair, and
 one level and one seed byte per op, so memory is linear in the op count
@@ -350,8 +351,8 @@ class CloneResult:
         for s in range(0, left.size, step):
             rows = _products(self._words, self._mult, left[s:s + step, None], right)
             rows = rows.reshape(-1, width)
-            order, heads = _runs(rows)
-            data = rows[order[heads]].tobytes()
+            _, _, first = _runs(rows)
+            data = rows.take(first, axis=0).tobytes()
             keys.update(data[k:k + n] for k in range(0, len(data), width))
         ops = [self._index.get(key) for key in keys]
         if None in ops:
@@ -378,32 +379,62 @@ def _products(words, mult, left, right):
     names its uint16 result type, since a uint8 array times a scalar
     stays uint8 under value-based casting (NumPy before 2) and would wrap.
     Pad cells hold the undefined value, whose products are undefined, so
-    the product rows are padded too.
+    the product rows are padded too. Up to 15 elements every index is at
+    most (n + 1)² - 1 <= 255, a byte, and is formed eight cells at a time
+    on the 64-bit words, no byte carrying into the next.
     """
-    idx = np.multiply(words.take(left, axis=0).view(np.uint8), mult.shape[0],
-                      dtype=np.uint16)
+    k = mult.shape[0]
+    if k <= 16:
+        idx = words.take(left, axis=0) * np.uint64(k) + words.take(right, axis=0)
+        return mult.take(idx.view(np.uint8))
+    idx = np.multiply(words.take(left, axis=0).view(np.uint8), k, dtype=np.uint16)
     return mult.take(idx + words.take(right, axis=0).view(np.uint8))
 
 
+def _worklist_pairs(done, end):
+    """Left and right factors of the worklist's pairs of ops done to
+    end - 1, in order: for op i, (j, i) for j <= i, then (i, j) for j < i.
+    Op i's pairs are thus pairs i² to (i + 1)² - 1 of the whole worklist."""
+    span = np.arange(done, end)
+    op = np.repeat(span, 2 * span + 1)
+    t = np.arange(len(op)) + (done * done - op * op)  # place in the op's pairs
+    lead = t <= op
+    return np.where(lead, t, op), np.where(lead, op, t - op - 1)
+
+
+# the pairs of the first ops, which every clone's first batches take, made
+# once: 16,384 pairs in 256 KiB
+_TABLED_OPS = 128
+_LEFT, _RIGHT = _worklist_pairs(0, _TABLED_OPS)
+_LEFT.setflags(write=False)
+_RIGHT.setflags(write=False)
+
+
 def _runs(rows):
-    """Sort padded rows stably by their words: equal rows form runs of
-    the sorted order, and the stable sort puts each run's earliest row at
-    its head. Returns the order and the heads' places in it."""
+    """Group padded rows into runs of equal rows.
+
+    The rows are sorted by their words: a row of one word by that word,
+    with numpy's default unstable sort, a wider row by np.lexsort. Equal
+    rows then form runs of the sorted order, and each run's earliest row
+    is the least index in it, so no result depends on the sort being
+    stable. Returns the order, the runs' starts in it, and each run's
+    earliest row.
+    """
     packed = rows.view(np.uint64)
-    order = np.lexsort(packed.T)
-    ordered = packed[order]
-    start = np.ones(len(order), dtype=bool)
-    start[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order, start.nonzero()[0]
-
-
-def _levels(rows, undef):
-    """Level of each graph row: 0 for a total constant map, 1 for a map
-    constant on its domain only (the empty map included), 2 otherwise."""
-    defined = rows != undef
-    top = np.where(defined, rows, 0).max(axis=1)
-    bottom = np.where(defined, rows, undef).min(axis=1)
-    return np.where(top > bottom, 2, ~defined.all(axis=1)).astype(np.int8)
+    if packed.shape[1] == 1:
+        order = packed[:, 0].argsort()
+    else:
+        order = np.lexsort(packed.T)
+    ordered = packed.take(order, axis=0)
+    # a run starts where some word differs from the row before; comparing
+    # a word column at a time beats one compare of whole rows and .any
+    start = np.empty(len(order), dtype=bool)
+    start[:1] = True
+    np.not_equal(ordered[1:, 0], ordered[:-1, 0], out=start[1:])
+    for w in range(1, packed.shape[1]):
+        start[1:] |= ordered[1:, w] != ordered[:-1, w]
+    heads = start.nonzero()[0]
+    return order, heads, np.minimum.reduceat(order, heads)
 
 
 def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
@@ -414,8 +445,10 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     order — for op i, the pairs (j, i) for j <= i, then (i, j) for j < i.
     The pairs are evaluated in batches: each takes the next ops in order,
     as far as the ops already found reach and as many as fit in _PAIR_CAP
-    pairs, but at least one. New graphs are numbered in order of their
-    earliest pair, which is the numbering of one product at a time.
+    pairs, but at least one; a batch within the first _TABLED_OPS ops
+    slices its pairs from a table made once. New graphs are numbered in
+    order of their earliest pair, which is the numbering of one product
+    at a time.
     The budget counts ops, not products: once it is reached, the next new
     graph sets budget_hit and the closure stops there, or raises when the
     caller asked for exactness. Each op is kept as its graph padded to
@@ -424,7 +457,10 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     op also records its level (0 total constant, 1 constant on its domain
     only, 2 nonconstant) and its seed: the highest level of a right factor
     q over the pairs p·q that produce it. classify reads the definite
-    seeds off the latter.
+    seeds off the latter. A seed op's level is known: 0 for a constant
+    map, and 2 for the identity unless the carrier has one element, when
+    the identity is that element's constant map. A later op's level is
+    read off its graph's bytes when the op is recorded.
     """
     n = g.size
     if n > MAX_CARRIER:
@@ -440,42 +476,37 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     cap = 256  # holds the n + 1 seed ops, as n <= MAX_CARRIER
     words = np.full((cap, width), undef, dtype=np.uint8).view(np.uint64)
     factors = np.zeros((cap, 2), dtype=np.int32)
-    level = np.empty(cap, dtype=np.int8)
+    level = np.zeros(cap, dtype=np.int8)
     seeds = np.zeros(cap, dtype=np.int8)
-    terms = []
-    index = {}
+    # the seed ops: the identity, then each constant map; on one element
+    # the identity is that element's constant map, so there is one seed op
+    m = n + 1 if n > 1 else 1
     padded = words.view(np.uint8)
-    for row, term in [(range(n), VAR)] + [((e,) * n, Const(g.element(e)))
-                                           for e in range(n)]:
-        key = bytes(row)
-        if key not in index:
-            index[key] = len(terms)
-            padded[len(terms), :n] = row
-            terms.append(term)
-    m = len(terms)
-    level[:m] = _levels(padded[:m, :n], undef)
+    padded[0, :n] = np.arange(n)
+    padded[1:m, :n] = np.arange(m - 1)[:, None]
+    data = padded[:m].tobytes()
+    index = {data[i * width:i * width + n]: i for i in range(m)}
+    terms = [VAR, *map(Const, g.elements())][:m]
+    level[0] = 2 if n > 1 else 0
+    pad = bytes((undef,))
 
     budget_hit = False
     done = 0
     while done < m:
         # ops [done, end) give end² - done² pairs
         end = min(m, max(done + 1, math.isqrt(done * done + _PAIR_CAP)))
-        span = np.arange(done, end)
-        op = np.repeat(span, 2 * span + 1)
-        t = np.arange(len(op)) + (done * done - op * op)  # place in the op's pairs
-        lead = t <= op
-        left = np.where(lead, t, op)
-        right = np.where(lead, op, t - op - 1)
-        # dedupe the batch: each run of equal product rows starts with its
-        # earliest pair, first[u]
+        if end <= _TABLED_OPS:
+            left, right = _LEFT[done * done:end * end], _RIGHT[done * done:end * end]
+        else:
+            left, right = _worklist_pairs(done, end)
+        # dedupe the batch into runs of equal product rows
         rows = _products(words, mult, left, right)
-        order, heads = _runs(rows)
-        first = order[heads]
+        order, heads, first = _runs(rows)
         # runs in the order of their earliest pair: ops keep discovery order;
         # each run's graph is looked up once
         rank = np.argsort(first)
         earliest = first[rank]
-        data = rows[earliest].tobytes()
+        data = rows.take(earliest, axis=0).tobytes()
         found = [index.get(data[s:s + n]) for s in range(0, len(data), width)]
         new = [r for r, f in enumerate(found) if f is None]
         # the closure stops at the earliest pair of the first new graph
@@ -490,15 +521,22 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
                 factors = np.resize(factors, (cap, 2))
                 level = np.resize(level, cap)
                 seeds = np.resize(seeds, cap)
+            fresh = slice(m, m + len(new))
+            levels = []
             for r in new:
-                index[data[r * width:r * width + n]] = found[r] = m
+                key = data[r * width:r * width + n]
+                index[key] = found[r] = m
                 m += 1
+                # the level from the defined values: more than one distinct
+                # value is 2, else 1 if some cell is undefined, else 0
+                values = key.replace(pad, b"")
+                levels.append(2 if values.count(values[:1]) < len(values)
+                              else len(values) < n)
+            level[fresh] = levels
             pairs = earliest[new]
-            fresh = slice(m - len(new), m)
-            words[fresh] = rows[pairs].view(np.uint64)
+            words[fresh] = rows.take(pairs, axis=0).view(np.uint64)
             factors[fresh, 0] = left[pairs]
             factors[fresh, 1] = right[pairs]
-            level[fresh] = _levels(rows[pairs, :n], undef)
             seeds[fresh] = 0
         if budget_hit:
             break
@@ -506,7 +544,7 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
         res[rank] = found
         # runs have distinct graphs, so res holds distinct ops
         seeds[res] = np.maximum(seeds[res],
-                                np.maximum.reduceat(level[right][order], heads))
+                                np.maximum.reduceat(level.take(right.take(order)), heads))
         done = end
 
     if budget_hit and exact:
@@ -535,9 +573,9 @@ def classify(clone, reading="total"):
     if clone.budget_hit:
         raise InputError("cannot classify a clone truncated by its budget")
     threshold = _NONCONSTANT_LEVEL[reading]
-    n = clone.carrier_size
-    ident = (clone.graphs == np.arange(n, dtype=np.uint8)).all(axis=1)
-    trivial = ident | (clone._level == 0)
+    # the trivial ops: the total constant maps and the identity, op 0
+    trivial = clone._level == 0
+    trivial[0] = True
     constant = clone._level < threshold
     nontrivial = ~trivial
     definite = nontrivial & (clone._seed >= threshold)

@@ -5,6 +5,7 @@ the package's vectorized closure, flag propagation, or partition code, so
 agreement is evidence rather than tautology.
 """
 import heapq
+import sys
 from pathlib import Path
 
 from pargoids import generators, pargoid, polyclone, types
@@ -152,6 +153,52 @@ def worklist_clone(g):
             add(pointwise(g, order[i], order[j]), polyclone.Prod(terms[i], terms[j]))
         i += 1
     return order, terms, generations
+
+
+def runs_reference(rows):
+    """Runs of equal padded rows, by a stable sort of their 64-bit words.
+
+    Each row is read as machine-order 64-bit words, compared from the last
+    word to the first, as np.lexsort orders them. Returns the runs in
+    sorted order, each the ascending list of its row indices: the stable
+    sort keeps equal rows in input order, so the earliest row leads.
+    """
+    def words(i):
+        data = bytes(rows[i])
+        return tuple(int.from_bytes(data[k:k + 8], sys.byteorder)
+                     for k in range(len(data) - 8, -1, -8))
+
+    runs = []
+    last = None
+    for i in sorted(range(len(rows)), key=words):
+        if words(i) != last:
+            runs.append([])
+            last = words(i)
+        runs[-1].append(i)
+    return runs
+
+
+def level_reference(g, graph):
+    """0 for a total constant map, 1 for a map constant on its domain
+    only (the empty map included), 2 for a nonconstant map."""
+    if _is_constant_graph(g, graph, "total"):
+        return 0
+    return 1 if _is_constant_graph(g, graph, "on-domain") else 2
+
+
+def seed_reference(g, graphs):
+    """Each graph's highest right-factor level over the products p.q of
+    the list that give it, or 0 when none does; the graphs must be closed
+    under the product."""
+    index = {graph: i for i, graph in enumerate(graphs)}
+    seeds = [0] * len(graphs)
+    for q in graphs:
+        level = level_reference(g, q)
+        if level:
+            for p in graphs:
+                r = index[pointwise(g, p, q)]
+                seeds[r] = max(seeds[r], level)
+    return seeds
 
 
 def doubling_chain(n):

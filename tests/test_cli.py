@@ -351,10 +351,11 @@ def test_deeply_nested_typing_is_rejected_without_traceback(tmp_path, text):
 
 
 def _imported_modules(argv):
-    """Exit code, stdout and the top-level packages a CLI process imports."""
+    """Exit code, stdout and the dotted names of the modules a CLI process
+    imports; a package's name is among them whenever any of its modules is."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pargoids.cli",
                            *argv], capture_output=True, text=True)
-    names = {line.rsplit("|", 1)[1].strip().split(".")[0]
+    names = {line.rsplit("|", 1)[1].strip()
              for line in proc.stderr.splitlines() if line.startswith("import time:")}
     return proc.returncode, proc.stdout, names
 
@@ -365,6 +366,7 @@ def test_verify_process_loads_no_numpy(tmp_path):
     assert out == "accepted\n"
     assert "pargoids" in modules
     assert "numpy" not in modules
+    assert "pargoids.generators" not in modules
     # so does gen, in arbitrary and typed modes
     typing = str(tmp_path / "typing.json")
     for argv in (["--size", "5"],
@@ -374,10 +376,11 @@ def test_verify_process_loads_no_numpy(tmp_path):
         assert out.startswith("elements: ")
         assert "pargoids" in modules
         assert "numpy" not in modules
-    # decide computes a clone, which needs numpy
+    # decide computes a clone, which needs numpy, but generates nothing
     code, _, modules = _imported_modules(["decide", SIX])
     assert code == 0
     assert "numpy" in modules
+    assert "pargoids.generators" not in modules
 
 
 def test_exit_code_resource_exhaustion():

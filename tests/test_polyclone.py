@@ -174,6 +174,21 @@ def test_clone_op_numbering():
             assert [op.graph for op in clone.ops] == oracles.worklist_clone(g)[0]
 
 
+def test_worklist_pairs_follow_the_documented_order():
+    # op i's pairs, (j, i) for j <= i and then (i, j) for j < i, take
+    # places i² to (i + 1)² - 1; the table of the first ops holds them, and
+    # the pairs of any op range, in or past the table, are computed alike
+    expected = [pair for i in range(200)
+                for pair in [(j, i) for j in range(i + 1)] + [(i, j) for j in range(i)]]
+    table = polyclone._TABLED_OPS
+    assert list(zip(polyclone._LEFT.tolist(), polyclone._RIGHT.tolist())) == \
+        expected[:table * table]
+    for done, end in ((0, 1), (0, table), (5, 9), (table - 1, table), (100, 140),
+                      (table, 200), (150, 151)):
+        left, right = polyclone._worklist_pairs(done, end)
+        assert list(zip(left.tolist(), right.tolist())) == expected[done * done:end * end]
+
+
 def same_terms(got, expected):
     """Whether two witness lists are equal term by term, each product
     sharing its factors' entries by reference."""
@@ -217,9 +232,10 @@ def test_padding_stays_out_of_the_clone():
 
 
 def test_products_read_every_cell_of_the_table():
-    # a cell's index a * (n + 1) + b passes 255 from 16 elements on and
-    # reaches 65,535 at MAX_CARRIER, so it must not be kept in uint8
-    for n in (8, 17, 40, polyclone.MAX_CARRIER):
+    # a cell's index a * (n + 1) + b reaches 255 at 15 elements, where it
+    # is still formed a word at a time, passes it from 16 elements on and
+    # reaches 65,535 at MAX_CARRIER, so it must not be kept in uint8 there
+    for n in (8, 15, 16, 17, 40, polyclone.MAX_CARRIER):
         g = oracles.arbitrary_batch(1, (n,), (0.9,), 8900 + n)[0][1]
         clone = compute_clone(g, budget=n + 1)
         ops = np.arange(0, clone.op_count, max(1, clone.op_count // 32))
@@ -228,6 +244,61 @@ def test_products_read_every_cell_of_the_table():
         expected = clone._mult[cells[ops][:, None], cells[ops][None, :]]
         assert rows.dtype == np.uint8
         assert (rows == expected).all()
+
+
+def padded_batch(rng, count, words, repeats):
+    """count rows of the given number of 64-bit words, as _products returns
+    them, in random order; about the share repeats of them copy an earlier
+    row. The distinct rows draw each word from three values and add 3k to
+    one word of row k, so they agree in some words and differ in others."""
+    packed = rng.integers(0, 3, size=(count, words)).astype(np.uint64)
+    packed[np.arange(count), rng.integers(0, words, count)] += \
+        np.arange(count, dtype=np.uint64) * np.uint64(3)
+    for k in range(1, count):
+        if rng.random() < repeats:
+            packed[k] = packed[rng.integers(0, k)]
+    return packed[rng.permutation(count)].view(np.uint8)
+
+
+def test_runs_match_the_stable_sort_reference():
+    # one-word rows are sorted unstably, so each run's earliest row must
+    # come from the run's members, not from its head in the sorted order
+    rng = np.random.default_rng(8800)
+    for words in (1, 2, 3):
+        for count, repeats in ((1, 0.0), (250, 0.0), (250, 0.6), (250, 0.98),
+                               (4096, 0.6), (4096, 0.98)):
+            rows = padded_batch(rng, count, words, repeats)
+            order, heads, first = polyclone._runs(rows)
+            runs = oracles.runs_reference(rows)
+            assert sorted(order.tolist()) == list(range(count))
+            assert heads.tolist() == np.cumsum([0] + [len(r) for r in runs[:-1]]).tolist()
+            bounds = heads.tolist() + [count]
+            assert [sorted(order[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])] \
+                == runs
+            assert first.tolist() == [run[0] for run in runs]
+            if repeats == 0.0:
+                assert len(runs) == count
+
+
+def test_levels_and_seeds_match_the_products():
+    # every op's level and seed against the graphs and all their pairwise
+    # products, on one- to four-word rows
+    inputs = [oracles.three(), oracles.six(), oracles.void2(), oracles.single(), quad()]
+    inputs += [g for _, g in oracles.arbitrary_batch(8, (2, 3, 4), (0.3, 0.6), 8810)]
+    closed = 0
+    for g in inputs + word_boundary_inputs(8801):
+        clone = compute_clone(g, budget=400)
+        if clone.budget_hit:
+            continue
+        closed += 1
+        graphs = [op.graph for op in clone.ops]
+        levels = [oracles.level_reference(g, graph) for graph in graphs]
+        seeds = oracles.seed_reference(g, graphs)
+        assert clone._level.tolist() == levels
+        assert clone._seed.tolist() == seeds
+        for reading, threshold in polyclone._NONCONSTANT_LEVEL.items():
+            assert clone.seeded(reading).tolist() == [s >= threshold for s in seeds]
+    assert closed >= 28
 
 
 def test_truncated_clone_is_a_prefix():
