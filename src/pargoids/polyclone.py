@@ -402,14 +402,6 @@ def _worklist_pairs(done, end):
     return np.where(lead, t, op), np.where(lead, op, t - op - 1)
 
 
-# the pairs of the first ops, which every clone's first batches take, made
-# once: 16,384 pairs in 256 KiB
-_TABLED_OPS = 128
-_LEFT, _RIGHT = _worklist_pairs(0, _TABLED_OPS)
-_LEFT.setflags(write=False)
-_RIGHT.setflags(write=False)
-
-
 def _runs(rows):
     """Group padded rows into runs of equal rows.
 
@@ -445,10 +437,8 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     order — for op i, the pairs (j, i) for j <= i, then (i, j) for j < i.
     The pairs are evaluated in batches: each takes the next ops in order,
     as far as the ops already found reach and as many as fit in _PAIR_CAP
-    pairs, but at least one; a batch within the first _TABLED_OPS ops
-    slices its pairs from a table made once. New graphs are numbered in
-    order of their earliest pair, which is the numbering of one product
-    at a time.
+    pairs, but at least one. New graphs are numbered in order of their
+    earliest pair, which is the numbering of one product at a time.
     The budget counts ops, not products: once it is reached, the next new
     graph sets budget_hit and the closure stops there, or raises when the
     caller asked for exactness. Each op is kept as its graph padded to
@@ -495,10 +485,7 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     while done < m:
         # ops [done, end) give end² - done² pairs
         end = min(m, max(done + 1, math.isqrt(done * done + _PAIR_CAP)))
-        if end <= _TABLED_OPS:
-            left, right = _LEFT[done * done:end * end], _RIGHT[done * done:end * end]
-        else:
-            left, right = _worklist_pairs(done, end)
+        left, right = _worklist_pairs(done, end)
         # dedupe the batch into runs of equal product rows
         rows = _products(words, mult, left, right)
         order, heads, first = _runs(rows)

@@ -176,15 +176,11 @@ def test_clone_op_numbering():
 
 def test_worklist_pairs_follow_the_documented_order():
     # op i's pairs, (j, i) for j <= i and then (i, j) for j < i, take
-    # places i² to (i + 1)² - 1; the table of the first ops holds them, and
-    # the pairs of any op range, in or past the table, are computed alike
+    # places i² to (i + 1)² - 1, whatever op range a batch starts at
     expected = [pair for i in range(200)
                 for pair in [(j, i) for j in range(i + 1)] + [(i, j) for j in range(i)]]
-    table = polyclone._TABLED_OPS
-    assert list(zip(polyclone._LEFT.tolist(), polyclone._RIGHT.tolist())) == \
-        expected[:table * table]
-    for done, end in ((0, 1), (0, table), (5, 9), (table - 1, table), (100, 140),
-                      (table, 200), (150, 151)):
+    for done, end in ((0, 1), (0, 128), (5, 9), (127, 128), (100, 140),
+                      (128, 200), (150, 151)):
         left, right = polyclone._worklist_pairs(done, end)
         assert list(zip(left.tolist(), right.tolist())) == expected[done * done:end * end]
 
