@@ -22,14 +22,14 @@ _MODULES = {
     "pargoid": ("ElementId", "Pargoid", "apply", "less_than", "parse",
                 "product_triples", "serialize"),
     "polyclone": ("VAR", "CloneResult", "Const", "Prod", "UnaryPolyOp", "Var",
-                  "classify", "compute_clone", "eval_term", "format_term",
-                  "lemma2_check", "parse_term", "term_graph", "term_size"),
+                  "classify", "compute_clone", "format_term", "lemma2_check",
+                  "parse_term", "term_graph"),
     "typability": ("Certificate", "ClaimStarReport", "Cycle", "Decision",
                    "DefiniteViolation", "Typable", "Untypable",
                    "check_claim_star", "check_condition_i", "check_condition_ii",
                    "construct_typing", "decide", "validate_certificate"),
     "types": ("Arrow", "Ground", "TypeTerm", "Typing", "format_type",
-              "parse_type", "strict_closure_check", "type_size"),
+              "parse_type", "type_size"),
     "verifier": ("VerifyReport", "lemma1_check", "parse_typing",
                  "serialize_typing", "typing_isomorphic", "verify"),
 }

@@ -2,8 +2,11 @@
 
 Results go to stdout, diagnostics to stderr. Exit codes are stable API:
 0 typable/verified/ok, 1 untypable/rejected, 2 input error, 3 resource
-exhausted, 4 internal error (a bug alarm, never a verdict). JSON outputs
-carry "schema": 1 and validate against the files shipped in
+exhausted, 4 internal error (a bug alarm, never a verdict). Each
+subcommand takes only the flags its handler reads. The --json documents
+of decide, verify, clone, congruence and claim-star carry "schema": 1;
+gen --json writes the pargoid format, which has none, and type always
+writes a typing file. All validate against the files shipped in
 pargoids/schemas/. In literal mode, verify's text output labels totality
 failures as informational, since they do not decide acceptance.
 
@@ -94,10 +97,8 @@ def _cmd_decide(args):
         return EXIT_RESOURCE
     if isinstance(decision, typability.Typable):
         if args.json:
-            doc = {"schema": 1, "verdict": "typable",
-                   "typing": {"types": {g.names[e]: format_type(t)
-                                        for e, t in enumerate(decision.typing.types)}}}
-            _emit_json(doc)
+            _emit_json({"schema": 1, "verdict": "typable",
+                        "typing": verifier.typing_doc(g, decision.typing)})
         else:
             _emit("typable\n")
             for e, t in enumerate(decision.typing.types):
@@ -339,17 +340,18 @@ def _cmd_claim_star(args):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit structured JSON")
-    common.add_argument("--budget", type=int, default=None, metavar="N",
-                        help="max clone op count (default: PARGOID_BUDGET or "
-                             f"{DEFAULT_BUDGET})")
-    common.add_argument("--constant-reading", dest="reading",
-                        choices=READINGS, default="total",
-                        help="which maps count as constant operations")
-    common.add_argument("--seed", type=int, default=0,
-                        help="generator seed")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="emit structured JSON")
+    budget_flag = argparse.ArgumentParser(add_help=False)
+    budget_flag.add_argument("--budget", type=int, default=None, metavar="N",
+                             help="max clone op count (default: PARGOID_BUDGET or "
+                                  f"{DEFAULT_BUDGET})")
+    reading_flag = argparse.ArgumentParser(add_help=False)
+    reading_flag.add_argument("--constant-reading", dest="reading",
+                              choices=READINGS, default="total",
+                              help="which maps count as constant operations")
+    deciding = [json_flag, budget_flag, reading_flag]
 
     parser = argparse.ArgumentParser(
         prog="pargoid",
@@ -357,19 +359,19 @@ def _build_parser():
                     "typings, and check certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decide", parents=[common],
+    p = sub.add_parser("decide", parents=deciding,
                        help="decide typability and print the typing or verdict")
     p.add_argument("pargoid", help="pargoid file (text or JSON)")
     p.add_argument("--cert", action="store_true",
                    help="print the untypability certificate")
     p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("type", parents=[common],
+    p = sub.add_parser("type", parents=[budget_flag, reading_flag],
                        help="infer a typing and emit it as a typing file")
     p.add_argument("pargoid")
     p.set_defaults(func=_cmd_type)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[json_flag],
                        help="check a typing file against a pargoid")
     p.add_argument("pargoid")
     p.add_argument("typing", help="typing file (JSON)")
@@ -377,12 +379,12 @@ def _build_parser():
                    help="require matching types to force defined products")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("clone", parents=[common],
+    p = sub.add_parser("clone", parents=deciding,
                        help="dump the unary polynomial operations")
     p.add_argument("pargoid")
     p.set_defaults(func=_cmd_clone)
 
-    p = sub.add_parser("congruence", parents=[common],
+    p = sub.add_parser("congruence", parents=[json_flag, budget_flag],
                        help="print the convergence-profile partition")
     p.add_argument("pargoid")
     p.set_defaults(func=_cmd_congruence)
@@ -398,20 +400,22 @@ def _build_parser():
                            help="max arrow nesting in typed modes")
     gen_flags.add_argument("--ground-count", type=int, default=1,
                            help="number of ground types in typed modes")
+    gen_flags.add_argument("--seed", type=int, default=0,
+                           help="generator seed")
 
-    p = sub.add_parser("gen", parents=[common, gen_flags],
+    p = sub.add_parser("gen", parents=[json_flag, gen_flags],
                        help="generate a pseudo-random pargoid")
     p.add_argument("--with-typing", metavar="PATH",
                    help="also write the generating typing (typed modes)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("stats", parents=[common, gen_flags],
+    p = sub.add_parser("stats", parents=[budget_flag, reading_flag, gen_flags],
                        help="run the decision over a seed range, emit CSV")
     p.add_argument("--count", type=int, required=True,
                    help="number of consecutive seeds starting at --seed")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("claim-star", parents=[common],
+    p = sub.add_parser("claim-star", parents=deciding,
                        help="evaluate the strengthened-conditions diagnostics")
     p.add_argument("pargoid")
     p.set_defaults(func=_cmd_claim_star)

@@ -78,12 +78,6 @@ PolyTerm = Var | Const | Prod
 VAR = Var()
 
 
-def eval_term(g, t, e):
-    """Value of the term at e, or None where evaluation diverges."""
-    v = term_graph(g, t)[_ix(g, e)]
-    return None if v is None else g.element(v)
-
-
 def term_graph(g, t):
     """The term's value table over the whole carrier; None = diverges.
 
@@ -116,13 +110,6 @@ def term_graph(g, t):
                     else g.table.get((left[i], right[i]))
                     for i in range(g.size))
     return val[id(t)]
-
-
-def term_size(t):
-    """Node count: leaves are 1, a product is 1 + both sides."""
-    if isinstance(t, Prod):
-        return 1 + term_size(t.left) + term_size(t.right)
-    return 1
 
 
 def format_term(t):
@@ -360,13 +347,6 @@ class CloneResult:
                 raise InternalError("a product of two ops is missing from the clone")
             ops = [op for op in ops if op is not None]
         return np.array(sorted(ops), dtype=np.intp)
-
-    def product_edge(self, i, j):
-        """Index of ops[i]·ops[j], or None when a truncated clone lacks it."""
-        if not (0 <= i < self.op_count and 0 <= j < self.op_count):
-            raise InputError("op index out of range")
-        r = self.products([i], [j])
-        return int(r[0]) if r.size else None
 
 
 def _products(words, mult, left, right):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import congruence, polyclone, verifier
 from .errors import InputError, InternalError, ResourceExhausted
-from .pargoid import less_than
+from .pargoid import _ix, less_than
 from .types import Arrow, Ground, Typing
 
 
@@ -329,6 +329,7 @@ def validate_certificate(g, cert, budget=polyclone.DEFAULT_BUDGET, reading="tota
                 return False, f"{f.name} is not below {e.name}"
         return True, None
 
+    ia, ic = _ix(g, cert.a), _ix(g, cert.c)
     clone = polyclone.compute_clone(g, budget)
     if clone.budget_hit:
         return False, "clone budget exhausted during revalidation"
@@ -343,7 +344,6 @@ def validate_certificate(g, cert, budget=polyclone.DEFAULT_BUDGET, reading="tota
     definite = _definite_reference(clone, reading)
     if not definite[idx]:
         return False, "op is not definite under independent recomputation"
-    ia, ic = cert.a.index, cert.c.index
     if cert.op.graph[ia] is None or cert.op.graph[ic] is None:
         return False, "op does not converge on both certificate elements"
     if (sep_values[ia] is None) == (sep_values[ic] is None):

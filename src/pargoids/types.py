@@ -188,55 +188,8 @@ def subterms(t):
     return out
 
 
-def strict_closure_check(inhabited):
-    """Whether the set is closed under arrow components."""
-    pool = set(inhabited)
-    return all(
-        t.antecedent in pool and t.consequent in pool
-        for t in pool
-        if isinstance(t, Arrow)
-    )
-
-
 @dataclass(frozen=True)
 class Typing:
     """A total type assignment over a carrier: types[i] is the type of element i."""
 
     types: tuple
-
-
-def type_to_json(t):
-    """JSON encoding: ground as string, arrow as a two-element array."""
-    root = [None]
-    stack = [(t, root, 0)]
-    while stack:
-        u, parent, slot = stack.pop()
-        if isinstance(u, Ground):
-            parent[slot] = u.name
-        else:
-            doc = parent[slot] = [None, None]
-            stack += ((u.consequent, doc, 1), (u.antecedent, doc, 0))
-    return root[0]
-
-
-# marks, on type_from_json's stack, that an arrow's two components are built
-_BUILD_ARROW = object()
-
-
-def type_from_json(doc):
-    built = []
-    stack = [doc]
-    while stack:
-        d = stack.pop()
-        if d is _BUILD_ARROW:
-            c = built.pop()
-            built.append(Arrow(built.pop(), c))
-        elif isinstance(d, str):
-            if not GROUND_RE.fullmatch(d):
-                raise InputError(f"invalid ground name {d!r}")
-            built.append(Ground(d))
-        elif isinstance(d, list) and len(d) == 2:
-            stack += (_BUILD_ARROW, d[1], d[0])
-        else:
-            raise InputError(f"invalid type encoding {d!r}")
-    return built[0]

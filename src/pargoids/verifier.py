@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .pargoid import decode
-from .types import Arrow, Typing, format_type, parse_type, strict_closure_check
+from .types import Arrow, Typing, format_type, parse_type
 
 MODES = ("literal", "strong")
 
@@ -83,17 +83,16 @@ def verify(g, typing, mode="literal"):
     if not injectivity_ok:
         failures.append(Violation("injectivity", "distinct types share a block"))
 
-    inhabited = set(blocks)
-    strictness_ok = strict_closure_check(inhabited)
-    if not strictness_ok:
-        for t in sorted(inhabited, key=format_type):
-            if isinstance(t, Arrow):
-                for part in (t.antecedent, t.consequent):
-                    if part not in inhabited:
-                        failures.append(Violation(
-                            "strictness",
-                            f"type {format_type(t)} is inhabited but its "
-                            f"component {format_type(part)} is not"))
+    # the inhabited types must be closed under arrow components; types are
+    # rendered only to report a failure, as deep typings render exponentially
+    missing = [(t, part) for t in blocks if isinstance(t, Arrow)
+               for part in (t.antecedent, t.consequent) if part not in blocks]
+    strictness_ok = not missing
+    for t, part in sorted(missing, key=lambda m: format_type(m[0])):
+        failures.append(Violation(
+            "strictness",
+            f"type {format_type(t)} is inhabited but its "
+            f"component {format_type(part)} is not"))
 
     axiom1_forward_ok = True
     for (a, b), c in sorted(g.table.items()):
@@ -195,8 +194,11 @@ def parse_typing(g, data):
     return Typing(tuple(types))
 
 
+def typing_doc(g, typing):
+    """The typing-file document, elements in carrier order."""
+    return {"types": {g.names[e]: format_type(t) for e, t in enumerate(typing.types)}}
+
+
 def serialize_typing(g, typing):
-    """Canonical JSON bytes for a typing, elements in carrier order."""
-    doc = {"types": {g.names[e]: format_type(t)
-                     for e, t in enumerate(typing.types)}}
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """Canonical JSON bytes for a typing."""
+    return (json.dumps(typing_doc(g, typing), indent=2) + "\n").encode("utf-8")

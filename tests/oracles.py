@@ -43,23 +43,6 @@ def single():
     return pargoid.Pargoid(("x",), {})
 
 
-def eval_term_int(g, t, x):
-    """Recursive term evaluation over raw indices; None = diverges."""
-    if isinstance(t, polyclone.Var):
-        return x
-    if isinstance(t, polyclone.Const):
-        return t.value.index
-    left = eval_term_int(g, t.left, x)
-    right = eval_term_int(g, t.right, x)
-    if left is None or right is None:
-        return None
-    return g.table.get((left, right))
-
-
-def term_graph_int(g, t):
-    return tuple(eval_term_int(g, t, x) for x in range(g.size))
-
-
 def witness_graphs(g, terms):
     """Value tables of many structure-sharing terms in one shared walk."""
     val = {}
@@ -83,20 +66,16 @@ def witness_graphs(g, terms):
                     if right is None:
                         stack.append(t.right)
                 else:
-                    val[id(t)] = pointwise_values(g, left, right)
+                    val[id(t)] = pointwise(g, left, right)
     return [val[id(t)] for t in terms]
-
-
-def pointwise_values(g, left, right):
-    return tuple(
-        None if left[x] is None or right[x] is None
-        else g.table.get((left[x], right[x]))
-        for x in range(g.size))
 
 
 def pointwise(g, p, q):
     """Pointwise product of two graph tuples."""
-    return pointwise_values(g, p, q)
+    return tuple(
+        None if p[x] is None or q[x] is None
+        else g.table.get((p[x], q[x]))
+        for x in range(g.size))
 
 
 def brute_force_clone_graphs(g):

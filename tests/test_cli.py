@@ -447,6 +447,45 @@ def test_argparse_failures_exit_2():
     assert exc.value.code == 2
 
 
+# each subcommand's required arguments, and the flags its handler reads
+SUBCOMMANDS = {
+    "decide": ([SIX], ("--json", "--budget", "--constant-reading")),
+    "type": ([SIX], ("--budget", "--constant-reading")),
+    "verify": ([SIX, SIX_TYPING], ("--json",)),
+    "clone": ([SIX], ("--json", "--budget", "--constant-reading")),
+    "congruence": ([SIX], ("--json", "--budget")),
+    "gen": (["--size", "3"], ("--json", "--seed")),
+    "stats": (["--size", "3", "--count", "1"], ("--budget", "--constant-reading", "--seed")),
+    "claim-star": ([SIX], ("--json", "--budget", "--constant-reading")),
+}
+# each flag's argument, and where the parsed value lands
+FLAGS = {
+    "--json": ([], "json", True),
+    "--budget": (["64"], "budget", 64),
+    "--constant-reading": (["on-domain"], "reading", "on-domain"),
+    "--seed": (["9"], "seed", 9),
+}
+
+
+def test_subcommands_take_only_the_flags_they_read(capsys):
+    refused = 0
+    for command, (required, kept) in SUBCOMMANDS.items():
+        for flag, (value, dest, parsed) in FLAGS.items():
+            argv = [command, *required, flag, *value]
+            if flag in kept:
+                args = cli._build_parser().parse_args(argv)
+                assert getattr(args, dest) == parsed, argv
+                continue
+            refused += 1
+            with pytest.raises(SystemExit) as exc:
+                cli.run(argv)
+            assert exc.value.code == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert "usage:" in err and "unrecognized arguments" in err, argv
+    assert refused == 13
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "pargoids.cli", "decide", SIX],
                           capture_output=True, text=True)

@@ -5,8 +5,8 @@ from pargoids import polyclone
 from pargoids.errors import InputError, ResourceExhausted
 from pargoids.pargoid import ElementId, Pargoid
 from pargoids.polyclone import (Const, Prod, VAR, classify, compute_clone,
-                                eval_term, format_term, lemma2_check,
-                                parse_term, term_graph, term_size)
+                                format_term, lemma2_check, parse_term,
+                                term_graph)
 
 import oracles
 
@@ -20,28 +20,18 @@ def test_eval_term():
     g = oracles.six()
     xb = Prod(VAR, Const(g.element("b")))
     xbd = Prod(xb, Const(g.element("d")))
-    assert eval_term(g, xb, g.element("a")) == g.element("ab")
-    assert eval_term(g, xbd, g.element("a")) == g.element("d")
-    assert eval_term(g, xbd, g.element("c")) is None
-    assert eval_term(g, VAR, 4) == g.element("cb")
-    assert eval_term(g, Const(g.element("d")), 0) == g.element("d")
+    assert term_graph(g, xb) == (3, None, 4, None, None, None)
+    assert term_graph(g, xb)[g.element("a").index] == g.element("ab").index
+    assert term_graph(g, xbd)[g.element("a").index] == g.element("d").index
+    assert term_graph(g, xbd)[g.element("c").index] is None
+    assert term_graph(g, VAR)[4] == g.element("cb").index
+    assert term_graph(g, Const(g.element("d"))) == (g.element("d").index,) * 6
     # a 5,000-deep product chain evaluates without recursion: a a = a in three
     g = oracles.three()
     chain = VAR
     for _ in range(5000):
         chain = Prod(chain, VAR)
-    assert eval_term(g, chain, g.element("a")) == g.element("a")
-    assert eval_term(g, chain, g.element("b")) is None
     assert term_graph(g, chain) == (0, None, None)
-
-
-def test_term_graph_and_size():
-    g = oracles.six()
-    xb = Prod(VAR, Const(g.element("b")))
-    assert term_graph(g, xb) == (3, None, 4, None, None, None)
-    assert term_size(VAR) == 1
-    assert term_size(xb) == 3
-    assert term_size(Prod(xb, Const(g.element("d")))) == 5
 
 
 def test_format_and_parse_term():
@@ -348,15 +338,13 @@ def test_find_and_product_edges():
             three.find((bad,) * 3)
         with pytest.raises(InputError):
             three.find((0, bad, None))
-    # recorded edges compose pointwise
+    # recorded products compose pointwise
     for i in range(clone.op_count):
         for j in range(clone.op_count):
-            r = clone.product_edge(i, j)
-            assert r is not None
-            assert clone.ops[r].graph == oracles.pointwise(
+            r = clone.products([i], [j])
+            assert r.size == 1
+            assert clone.ops[r[0]].graph == oracles.pointwise(
                 g, clone.ops[i].graph, clone.ops[j].graph)
-    with pytest.raises(InputError):
-        clone.product_edge(0, clone.op_count)
 
 
 def test_budget_semantics():
@@ -459,4 +447,4 @@ def test_const_holds_element_id():
     g = oracles.three()
     t = Const(g.element("b"))
     assert t.value == ElementId(1, "b")
-    assert eval_term(g, Prod(t, t), 0) is None
+    assert term_graph(g, Prod(t, t))[0] is None

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
-from pargoids import polyclone, typability, verifier
+from pargoids import generators, polyclone, typability, verifier
 from pargoids.congruence import leibniz
 from pargoids.errors import InputError, InternalError, ResourceExhausted
-from pargoids.pargoid import Pargoid
+from pargoids.pargoid import ElementId, Pargoid
 from pargoids.polyclone import (Prod, UnaryPolyOp, VAR, classify, compute_clone,
                                 format_term)
 from pargoids.typability import (Cycle, DefiniteViolation, Typable, Untypable,
@@ -268,6 +270,20 @@ def test_validate_certificate_rejects_graph_values_outside_the_carrier():
                                          cert.a, cert.c, cert.separator)
             with pytest.raises(InputError):
                 validate_certificate(g, tampered)
+
+
+def test_validate_certificate_rejects_elements_outside_the_carrier():
+    # gen --seed 0 --size 5 --density 0.3: a violation with c = e4, which
+    # index -1 would silently stand in for
+    g = generators.gen_arbitrary(generators.GenConfig(size=5, seed=0, density=0.3))
+    cert = decide(g, 1024).certificate
+    assert cert.c == g.element("e4")
+    assert validate_certificate(g, cert, 1024) == (True, None)
+    for bad in (g.size, 300, -1, 1.0):
+        for field in ("a", "c"):
+            tampered = dataclasses.replace(cert, **{field: ElementId(bad, "zz")})
+            with pytest.raises(InputError):
+                validate_certificate(g, tampered, 1024)
 
 
 def test_decide_builds_op_objects_only_for_a_certificate(monkeypatch):

@@ -7,9 +7,8 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from pargoids.errors import InputError
-from pargoids.types import (Arrow, Ground, format_type, parse_type,
-                            strict_closure_check, subterms, type_from_json,
-                            type_size, type_to_json)
+from pargoids.types import (Arrow, Ground, format_type, parse_type, subterms,
+                            type_size)
 
 import oracles
 
@@ -69,25 +68,6 @@ def test_subterms():
     assert subterms(g0) == {g0}
 
 
-def test_strict_closure_check():
-    assert strict_closure_check({g0, g1, Arrow(g0, g1)})
-    assert not strict_closure_check({Arrow(g0, g1), g0})
-    assert strict_closure_check(set())
-    assert strict_closure_check({g0})
-
-
-def test_type_json_round_trip():
-    for t in (g0, Arrow(g0, g1), Arrow(Arrow(g0, g1), g2)):
-        assert type_from_json(type_to_json(t)) == t
-    assert type_to_json(Arrow(g0, g1)) == ["g0", "g1"]
-    with pytest.raises(InputError):
-        type_from_json(["g0"])
-    with pytest.raises(InputError):
-        type_from_json("not a name!")
-    with pytest.raises(InputError):
-        type_from_json(7)
-
-
 def test_terms_are_interned():
     assert Arrow(Ground("a"), Ground("b")) is Arrow(Ground("a"), Ground("b"))
     assert Ground("g0") is g0
@@ -126,7 +106,6 @@ def test_long_and_deep_types_need_no_recursion():
     chain = parse_type(" -> ".join(["g"] * 5001))
     assert type_size(chain) == 10_001
     assert parse_type(format_type(chain)) is chain
-    assert type_from_json(type_to_json(chain)) is chain
     assert len(subterms(chain)) == 5001
     assert parse_type("(" * 3000 + "g" + ")" * 3000) is Ground("g")
     # left-nested: every antecedent is parenthesized

@@ -89,6 +89,18 @@ def test_strictness_violation_reported():
     assert not report.accepted
     checks = {v.check for v in report.failures}
     assert checks == {"strictness"}
+    # failures come in order of the rendered inhabited type, and antecedent
+    # before consequent within one type
+    y, z = Ground("y"), Ground("z")
+    types = (Arrow(z, y), Arrow(Arrow(y, Ground("x")), y), Ground("x"))
+    report = verify(Pargoid(("p", "q", "r"), {}), Typing(types), "literal")
+    assert not report.strictness_ok
+    assert [(v.check, v.detail) for v in report.failures] == [
+        ("strictness", "type (y -> x) -> y is inhabited but its component y -> x is not"),
+        ("strictness", "type (y -> x) -> y is inhabited but its component y is not"),
+        ("strictness", "type z -> y is inhabited but its component z is not"),
+        ("strictness", "type z -> y is inhabited but its component y is not"),
+    ]
 
 
 def test_verify_input_errors():
