@@ -331,6 +331,17 @@ def enumerate_terms(g, max_size):
     return [t for k in range(1, max_size + 1) for t in by_size[k]]
 
 
+def term_nodes(t):
+    """Node count of a term: leaves are 1, a product is 1 + both sides."""
+    count, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        count += 1
+        if isinstance(t, polyclone.Prod):
+            stack += (t.left, t.right)
+    return count
+
+
 def random_term(g, rng, max_size):
     """Random term of odd node count up to max_size; rng is a SplitMix64."""
     size = 1 + 2 * rng.below((max_size + 1) // 2)

@@ -20,7 +20,6 @@ def test_eval_term():
     g = oracles.six()
     xb = Prod(VAR, Const(g.element("b")))
     xbd = Prod(xb, Const(g.element("d")))
-    assert term_graph(g, xb) == (3, None, 4, None, None, None)
     assert term_graph(g, xb)[g.element("a").index] == g.element("ab").index
     assert term_graph(g, xbd)[g.element("a").index] == g.element("d").index
     assert term_graph(g, xbd)[g.element("c").index] is None
@@ -32,6 +31,18 @@ def test_eval_term():
     for _ in range(5000):
         chain = Prod(chain, VAR)
     assert term_graph(g, chain) == (0, None, None)
+
+
+def test_term_graph_and_size():
+    g = oracles.six()
+    xb = Prod(VAR, Const(g.element("b")))
+    assert term_graph(g, xb) == (3, None, 4, None, None, None)
+    assert oracles.term_nodes(VAR) == 1
+    assert oracles.term_nodes(xb) == 3
+    assert oracles.term_nodes(Prod(xb, Const(g.element("d")))) == 5
+    # the term enumeration yields node counts 1..max_size, leaves first
+    sizes = [oracles.term_nodes(t) for t in oracles.enumerate_terms(g, 5)]
+    assert sizes == sorted(sizes) and set(sizes) == {1, 3, 5}
 
 
 def test_format_and_parse_term():
