@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import pargoid, verifier
@@ -46,18 +45,6 @@ def _load_pargoid(path):
         return pargoid.parse(data, fmt)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def _budget(args):
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("PARGOID_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"PARGOID_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
 
 
 def _emit(text):
@@ -88,7 +75,7 @@ def _cmd_decide(args):
     from . import polyclone, typability
     g = _load_pargoid(args.pargoid)
     try:
-        decision = typability.decide(g, _budget(args), args.reading)
+        decision = typability.decide(g, args.budget, args.reading)
     except ResourceExhausted as exc:
         if not args.json:
             raise
@@ -129,7 +116,7 @@ def _cmd_decide(args):
 def _cmd_type(args):
     from . import typability
     g = _load_pargoid(args.pargoid)
-    decision = typability.decide(g, _budget(args), args.reading)
+    decision = typability.decide(g, args.budget, args.reading)
     if isinstance(decision, typability.Typable):
         sys.stdout.buffer.write(verifier.serialize_typing(g, decision.typing))
         return EXIT_OK
@@ -167,16 +154,19 @@ def _cmd_verify(args):
     return EXIT_OK if report.accepted else EXIT_REJECTED
 
 
-def _closed_clone(g, args):
+def _closed_clone(g, budget):
+    """The clone of g, or ResourceExhausted when the budget truncates it."""
     from . import polyclone
-    clone = polyclone.compute_clone(g, _budget(args), exact=True)
-    return polyclone.classify(clone, args.reading)
+    clone = polyclone.compute_clone(g, budget)
+    if clone.budget_hit:
+        raise ResourceExhausted("clone", budget)
+    return clone
 
 
 def _cmd_clone(args):
     from . import polyclone
     g = _load_pargoid(args.pargoid)
-    clone = _closed_clone(g, args)
+    clone = polyclone.classify(_closed_clone(g, args.budget), args.reading)
     if args.json:
         _emit_json({"schema": 1, "reading": clone.reading,
                     "ops": [_op_json(g, op) for op in clone.ops]})
@@ -198,9 +188,9 @@ def _cmd_clone(args):
 
 
 def _cmd_congruence(args):
-    from . import congruence, polyclone
+    from . import congruence
     g = _load_pargoid(args.pargoid)
-    clone = polyclone.compute_clone(g, _budget(args), exact=True)
+    clone = _closed_clone(g, args.budget)
     part = congruence.leibniz(g, clone)
     if args.json:
         _emit_json({"schema": 1,
@@ -234,20 +224,20 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-def _stats_row(args, budget, s):
+def _stats_row(args, s):
     from . import congruence, generators, polyclone, typability
     cfg = _gen_config(args, s)
     if cfg.mode == "arbitrary":
         g = generators.gen_arbitrary(cfg)
     else:
         g, _ = generators.gen_typed(cfg)
-    clone = polyclone.compute_clone(g, budget)
+    clone = polyclone.compute_clone(g, args.budget)
     classes = ""
     if not clone.budget_hit:
         classes = len(congruence.leibniz(g, clone).blocks)
     kind, strong = "", ""
     try:
-        decision = typability.decide(g, budget, args.reading, clone=clone)
+        decision = typability.decide(g, args.budget, args.reading, clone=clone)
     except ResourceExhausted:
         verdict = "resource-exhausted"
     else:
@@ -264,28 +254,27 @@ def _stats_row(args, budget, s):
 
 
 def _cmd_stats(args):
-    budget = _budget(args)
     seeds = range(args.seed, args.seed + args.count)
     # every row has the same size, density and budget, so arguments that
     # fail one row fail the first: it is made before the header, and a
     # refused run prints nothing
-    first = [_stats_row(args, budget, s) for s in seeds[:1]]
+    first = [_stats_row(args, s) for s in seeds[:1]]
     _emit("seed,n,density,verdict,certificate_kind,clone_size,"
           "class_count,strong_totality\n")
     for line in first:
         _emit(line)
     for s in seeds[1:]:
-        _emit(_stats_row(args, budget, s))
+        _emit(_stats_row(args, s))
     return EXIT_OK
 
 
 def _cmd_claim_star(args):
     from . import congruence, polyclone, typability
     g = _load_pargoid(args.pargoid)
-    clone = _closed_clone(g, args)
+    clone = polyclone.classify(_closed_clone(g, args.budget), args.reading)
     varpi = congruence.leibniz(g, clone)
     report = typability.check_claim_star(g, clone, varpi)
-    decision = typability.decide(g, _budget(args), args.reading, clone=clone)
+    decision = typability.decide(g, args.budget, args.reading, clone=clone)
     if isinstance(decision, typability.Typable):
         verdict, code = "typable", EXIT_OK
     else:
@@ -344,9 +333,8 @@ def _build_parser():
     json_flag.add_argument("--json", action="store_true",
                            help="emit structured JSON")
     budget_flag = argparse.ArgumentParser(add_help=False)
-    budget_flag.add_argument("--budget", type=int, default=None, metavar="N",
-                             help="max clone op count (default: PARGOID_BUDGET or "
-                                  f"{DEFAULT_BUDGET})")
+    budget_flag.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
+                             help=f"max clone op count (default: {DEFAULT_BUDGET})")
     reading_flag = argparse.ArgumentParser(add_help=False)
     reading_flag.add_argument("--constant-reading", dest="reading",
                               choices=READINGS, default="total",
@@ -441,6 +429,11 @@ def run(argv=None):
 
 
 def main():
+    # a closed stdout ends the process silently, as it does other filters,
+    # instead of surfacing as an OSError, which run reports as bad input
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

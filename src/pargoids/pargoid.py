@@ -161,13 +161,8 @@ def _parse_json(text):
     names = doc["elements"]
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise InputError("'elements' must be an array of strings")
-    index = {}
-    for nm in names:
-        if not NAME_RE.match(nm):
-            raise InputError(f"invalid element name {nm!r}")
-        if nm in index:
-            raise InputError(f"duplicate element name {nm!r}")
-        index[nm] = len(index)
+    # Pargoid checks the names; text input checks its own, with positions
+    index = {nm: i for i, nm in enumerate(names)}
     table = {}
     products = doc.get("products", [])
     if not isinstance(products, list):

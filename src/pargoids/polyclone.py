@@ -37,7 +37,7 @@ from numbers import Integral
 import numpy as np
 
 from .defaults import DEFAULT_BUDGET, READINGS
-from .errors import InputError, InternalError, ResourceExhausted
+from .errors import InputError, InternalError
 from .pargoid import ElementId, _ix
 
 # uint8 graphs reserve one value for the undefined sentinel
@@ -409,7 +409,7 @@ def _runs(rows):
     return order, heads, np.minimum.reduceat(order, heads)
 
 
-def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
+def compute_clone(g, budget=DEFAULT_BUDGET):
     """Close {identity, constants} under pointwise product, up to budget ops.
 
     Ops are numbered in discovery order: identity, then the constant map of
@@ -420,8 +420,7 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
     pairs, but at least one. New graphs are numbered in order of their
     earliest pair, which is the numbering of one product at a time.
     The budget counts ops, not products: once it is reached, the next new
-    graph sets budget_hit and the closure stops there, or raises when the
-    caller asked for exactness. Each op is kept as its graph padded to
+    graph sets budget_hit and the closure stops there. Each op is kept as its graph padded to
     whole 64-bit words, and each op past the seeds as its earliest factor
     pair (p, q), from which its witness term is built on first use. Each
     op also records its level (0 total constant, 1 constant on its domain
@@ -514,8 +513,6 @@ def compute_clone(g, budget=DEFAULT_BUDGET, *, exact=False):
                                 np.maximum.reduceat(level.take(right.take(order)), heads))
         done = end
 
-    if budget_hit and exact:
-        raise ResourceExhausted("clone", budget)
     words, level, seeds = words[:m].copy(), level[:m].copy(), seeds[:m].copy()
     for arr in (mult, words, level, seeds):
         arr.setflags(write=False)

@@ -43,33 +43,6 @@ def single():
     return pargoid.Pargoid(("x",), {})
 
 
-def witness_graphs(g, terms):
-    """Value tables of many structure-sharing terms in one shared walk."""
-    val = {}
-    for root in terms:
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            if id(t) in val:
-                continue
-            if isinstance(t, polyclone.Var):
-                val[id(t)] = tuple(range(g.size))
-            elif isinstance(t, polyclone.Const):
-                val[id(t)] = (t.value.index,) * g.size
-            else:
-                left = val.get(id(t.left))
-                right = val.get(id(t.right))
-                if left is None or right is None:
-                    stack.append(t)
-                    if left is None:
-                        stack.append(t.left)
-                    if right is None:
-                        stack.append(t.right)
-                else:
-                    val[id(t)] = pointwise(g, left, right)
-    return [val[id(t)] for t in terms]
-
-
 def pointwise(g, p, q):
     """Pointwise product of two graph tuples."""
     return tuple(
@@ -273,6 +246,79 @@ def topological_typing_reference(g, varpi):
             b, c = rows[e][0]
             out[e] = types.Arrow(out[b], out[c])
     return tuple(out)
+
+
+def set_partitions(n):
+    """Every set partition of range(n), n >= 1, as a tuple of class
+    labels: element 0 is in class 0, and each later element joins a class
+    already opened or opens the next one (restricted growth strings)."""
+    labels = [0] * n
+
+    def grow(e, opened):
+        if e == n:
+            yield tuple(labels)
+            return
+        for k in range(opened + 1):
+            labels[e] = k
+            yield from grow(e + 1, max(opened, k + 1))
+
+    return grow(1, 1)
+
+
+def partition_typing(n, table, strong):
+    """The carrier partition of some typing of the table, or None.
+
+    A typing's classes (elements of equal type) satisfy four conditions,
+    and any partition satisfying them gives a typing, whose classes with
+    an empty row are distinct grounds and whose others are the arrows
+    type(D) -> type(C), built in the order of the acyclic class graph:
+
+    - each class K with a defined product has one domain class D, holding
+      every b of a product a b = c with a in K, and one codomain class C,
+      holding every such c;
+    - for the strong notion, the row of each member of K is exactly D;
+    - no two such classes share their (D, C);
+    - the graph K -> D, K -> C over classes is acyclic.
+
+    Every partition is tried, so neither notion is decided by unification
+    or through the clone. Returns the classes as ascending tuples, in the
+    order of their least members.
+    """
+    rows = [frozenset(b for (a, b) in table if a == e) for e in range(n)]
+    for labels in set_partitions(n):
+        if _typing_partition(table, rows, labels, strong):
+            classes = {}
+            for e, k in enumerate(labels):
+                classes.setdefault(k, []).append(e)
+            return tuple(tuple(c) for c in classes.values())
+    return None
+
+
+def _typing_partition(table, rows, labels, strong):
+    sides = {}  # arrow class -> (domain class, codomain class)
+    for (a, b), c in table.items():
+        if sides.setdefault(labels[a], (labels[b], labels[c])) != (labels[b], labels[c]):
+            return False
+    if len(set(sides.values())) < len(sides):
+        return False
+    if strong:
+        members = {}
+        for e, k in enumerate(labels):
+            members.setdefault(k, set()).add(e)
+        if any(k in sides and rows[e] != members[sides[k][0]]
+               for e, k in enumerate(labels)):
+            return False
+    # peel off the classes whose sides are all built; a cycle stalls it
+    built = set(labels) - sides.keys()
+    pending = dict(sides)
+    while pending:
+        ready = [k for k, (d, c) in pending.items() if d in built and c in built]
+        if not ready:
+            return False
+        built.update(ready)
+        for k in ready:
+            del pending[k]
+    return True
 
 
 def _is_trivial_graph(g, graph):

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -426,16 +428,35 @@ def test_internal_error_exits_4(monkeypatch):
 
 
 def test_budget_env_variable(monkeypatch):
-    monkeypatch.setenv("PARGOID_BUDGET", "7")
-    code, _, _ = run(["decide", SIX])
-    assert code == 3
-    # the flag wins over the environment
-    code, _, _ = run(["decide", SIX, "--budget", "100"])
-    assert code == 0
-    monkeypatch.setenv("PARGOID_BUDGET", "many")
-    code, _, err = run(["decide", SIX])
-    assert code == 2
-    assert "PARGOID_BUDGET" in err
+    # the budget has one setting, --budget; the environment leaves it alone
+    for value in ("7", "many"):
+        monkeypatch.setenv("PARGOID_BUDGET", value)
+        code, out, err = run(["decide", SIX])
+        assert (code, err) == (0, "")
+        assert out.startswith("typable\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_the_process_silently():
+    # `pargoid clone six.pgd | head -1`, with the reader gone before the
+    # first write: SIGPIPE ends the process, as it ends other filters
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pargoids.cli", "clone", SIX],
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, "")
+
+
+def test_package_import_defines_no_names():
+    # names are imported from their modules; the package itself is empty
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pargoids; print(sorted(n for n in "
+         "vars(pargoids) if not n.startswith('_')), 'numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[] False\n")
 
 
 def test_argparse_failures_exit_2():

@@ -120,8 +120,13 @@ def test_parse_json_errors():
         parse('{"elements": ["a"], "products": [["a", "a"]]}', "json")
     with pytest.raises(InputError):
         parse('{"elements": ["a"], "products": [["a", "a", "z"]]}', "json")
-    with pytest.raises(InputError):
-        parse('{"elements": ["a", "a"]}', "json")
+    # Pargoid checks JSON element names, with the text format's messages
+    for doc, message in (('{"elements": ["a", "a"]}', "duplicate element name 'a'"),
+                         ('{"elements": ["a b"]}', "invalid element name 'a b'"),
+                         ('{"elements": []}', "a pargoid needs at least one element")):
+        with pytest.raises(InputError) as exc:
+            parse(doc, "json")
+        assert str(exc.value) == message
     with pytest.raises(InputError):
         parse("elements: a\n", "yaml")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pargoids import polyclone
-from pargoids.errors import InputError, ResourceExhausted
+from pargoids.errors import InputError
 from pargoids.pargoid import ElementId, Pargoid
 from pargoids.polyclone import (Const, Prod, VAR, classify, compute_clone,
                                 format_term, lemma2_check, parse_term,
@@ -327,8 +327,8 @@ def test_witnesses_evaluate_to_graphs():
         clone = compute_clone(g, budget=3000)
         if clone.budget_hit:
             continue
-        graphs = oracles.witness_graphs(g, [op.witness for op in clone.ops])
-        assert graphs == [op.graph for op in clone.ops]
+        for op in clone.ops:
+            assert term_graph(g, op.witness) == op.graph
 
 
 def test_find_and_product_edges():
@@ -365,14 +365,9 @@ def test_budget_semantics():
     truncated = compute_clone(g, budget=7)
     assert truncated.budget_hit
     assert truncated.op_count == 7
-    with pytest.raises(ResourceExhausted) as exc:
-        compute_clone(g, budget=7, exact=True)
-    assert exc.value.stage == "clone"
-    assert exc.value.budget == 7
     with pytest.raises(InputError):
         classify(truncated)
-    exact = compute_clone(g, budget=15, exact=True)
-    assert not exact.budget_hit
+    assert not compute_clone(g, budget=15).budget_hit
 
 
 def test_carrier_size_limit():
