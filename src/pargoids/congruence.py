@@ -4,7 +4,8 @@ Two elements are equivalent exactly when every unary polynomial operation
 converges on both or neither, so the partition groups elements by their
 convergence profile across the clone. It is computed only from fully
 closed clones: a truncated clone would merge elements a missing operation
-could separate.
+could separate. lemma1_check holds a typing to it: elements of one type
+must share a block.
 """
 from __future__ import annotations
 
@@ -91,3 +92,18 @@ def separator(g, clone, a, c):
     cols = clone.graphs[:, [_ix(g, a), _ix(g, c)]] != clone.carrier_size
     differs = cols[:, 0] != cols[:, 1]
     return clone.op(int(differs.argmax())) if differs.any() else None
+
+
+def lemma1_check(g, typing, clone, varpi):
+    """Same-type elements must be congruence-equivalent.
+
+    Returns (True, None) or (False, (a, b, separating op)) for the first
+    same-type pair in different blocks.
+    """
+    n = g.size
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (typing.types[a] == typing.types[b]
+                    and varpi.class_of[a] != varpi.class_of[b]):
+                return False, (g.element(a), g.element(b), separator(g, clone, a, b))
+    return True, None

@@ -111,6 +111,8 @@ def _sample_type_set(cfg, rng):
         raise InputError("typed modes need at least one ground type")
     if cfg.ground_count > cfg.size:
         raise InputError("more ground types than elements")
+    if cfg.type_depth < 0:
+        raise InputError("type depth must be at least 0")
     pool = [Ground(f"g{i}") for i in range(cfg.ground_count)]
     depth = dict.fromkeys(pool, 0)  # member -> arrow nesting depth
     extras = rng.below(cfg.size - cfg.ground_count + 1)

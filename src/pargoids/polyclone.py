@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
@@ -202,50 +202,26 @@ class UnaryPolyOp:
     is_constant: bool = False
     is_definite: bool = False
 
-    @property
-    def domain(self):
-        return tuple(i for i, v in enumerate(self.graph) if v is not None)
 
+def _term(terms, factors, i):
+    """Op i's first term, building only the subterms not built yet.
 
-class _Terms:
-    """Each op's first term, built from the closure's factor pairs.
-
-    The seed ops come with their terms, and their rows of factors are
-    unused. Every later op i is the product of the two earlier ops
-    factors[i], so its term is the Prod of theirs.
-    A term is built on first use, once, with its subterms shared by
-    reference; a clone and its classified copies share one _Terms.
+    terms holds the seed ops' terms and None for each later op i, whose
+    term is the Prod of the terms of the two earlier ops factors[i]. A
+    term is built on first use, once, with its subterms shared by
+    reference, and stored in terms.
     """
-
-    __slots__ = ("_terms", "_factors", "_all")
-
-    def __init__(self, seeds, factors):
-        self._terms = list(seeds) + [None] * (len(factors) - len(seeds))
-        self._factors = factors
-        self._all = None
-
-    def term(self, i):
-        """Op i's term, building only the subterms not built yet."""
-        terms = self._terms
-        stack = [i]
-        while stack:
-            j = stack[-1]
-            if terms[j] is None:
-                p, q = self._factors[j].tolist()
-                if terms[p] is None or terms[q] is None:
-                    stack += (p, q)
-                    continue
-                terms[j] = Prod(terms[p], terms[q])
-            stack.pop()
-        return terms[i]
-
-    def all(self):
-        """Every op's term, as one tuple built on first use."""
-        if self._all is None:
-            # factors precede their product, so in ascending order each
-            # term is one step
-            self._all = tuple(map(self.term, range(len(self._terms))))
-        return self._all
+    stack = [i]
+    while stack:
+        j = stack[-1]
+        if terms[j] is None:
+            p, q = factors[j].tolist()
+            if terms[p] is None or terms[q] is None:
+                stack += (p, q)
+                continue
+            terms[j] = Prod(terms[p], terms[q])
+        stack.pop()
+    return terms[i]
 
 
 @dataclass(eq=False, slots=True)
@@ -255,11 +231,12 @@ class CloneResult:
     Row i of the read-only graphs array is op i's value table, with the
     carrier size as the undefined value. It is a view of row i of _words,
     which holds the same table padded with the undefined value to whole
-    64-bit words. witnesses[i] is op i's first term. reading is None
-    until classify adds the read-only boolean masks trivial, constant and
-    definite; a classified clone shares the arrays and the witness terms
-    of the clone it came from. op(i) builds op i as a UnaryPolyOp; ops
-    builds them all on first use.
+    64-bit words. Op i past the seeds is the product of the two ops
+    _factors[i], and _terms holds each op's first term once built.
+    reading is None until classify adds the read-only boolean masks
+    trivial, constant and definite; a classified clone shares the arrays
+    and the _terms list of the clone it came from. op(i) is the one way
+    to read op i: it builds it as a UnaryPolyOp, with its witness term.
     """
 
     graphs: np.ndarray
@@ -269,12 +246,12 @@ class CloneResult:
     _level: np.ndarray
     _seed: np.ndarray
     _index: dict
-    _terms: _Terms
+    _factors: np.ndarray
+    _terms: list
     reading: str | None = None
     trivial: np.ndarray | None = None
     constant: np.ndarray | None = None
     definite: np.ndarray | None = None
-    _ops: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def carrier_size(self):
@@ -284,25 +261,13 @@ class CloneResult:
     def op_count(self):
         return self.graphs.shape[0]
 
-    @property
-    def witnesses(self):
-        """Each op's first term, built on first use."""
-        return self._terms.all()
-
     def op(self, i):
         """Op i as a UnaryPolyOp, with its flags once classified."""
         n = self.carrier_size
         graph = tuple(None if v == n else v for v in self.graphs[i].tolist())
         flags = () if self.reading is None else (
             bool(self.trivial[i]), bool(self.constant[i]), bool(self.definite[i]))
-        return UnaryPolyOp(graph, self._terms.term(i), *flags)
-
-    @property
-    def ops(self):
-        """Every op as a UnaryPolyOp, built on first use."""
-        if self._ops is None:
-            self._ops = tuple(map(self.op, range(self.op_count)))
-        return self._ops
+        return UnaryPolyOp(graph, _term(self._terms, self._factors, i), *flags)
 
     def find(self, graph):
         """Index of the op with this graph, or None if absent."""
@@ -322,13 +287,14 @@ class CloneResult:
         return self._seed >= _NONCONSTANT_LEVEL[reading]
 
     def products(self, left, right):
-        """Sorted distinct op indices of ops[i]·ops[j], i in left, j in right.
+        """Sorted distinct op indices of op(i)·op(j), i in left, j in right.
 
-        Computed on demand from the padded rows, in bounded memory. A
-        closed clone holds every product, so a missing one is a bug
-        alarm; on a truncated clone, products it has not reached are
-        left out.
+        Computed on demand from the padded rows, in bounded memory. Only
+        a closed clone holds every product, so a truncated one is refused,
+        and a missing product is a bug alarm.
         """
+        if self.budget_hit:
+            raise InputError("products need a fully closed clone")
         n = self.carrier_size
         left = np.asarray(left, dtype=np.intp)
         right = np.asarray(right, dtype=np.intp)
@@ -343,9 +309,7 @@ class CloneResult:
             keys.update(data[k:k + n] for k in range(0, len(data), width))
         ops = [self._index.get(key) for key in keys]
         if None in ops:
-            if not self.budget_hit:
-                raise InternalError("a product of two ops is missing from the clone")
-            ops = [op for op in ops if op is not None]
+            raise InternalError("a product of two ops is missing from the clone")
         return np.array(sorted(ops), dtype=np.intp)
 
 
@@ -518,8 +482,9 @@ def compute_clone(g, budget=DEFAULT_BUDGET):
         arr.setflags(write=False)
     # a view of the read-only words is read-only too
     graphs = words.view(np.uint8)[:, :n]
+    terms += [None] * (m - len(terms))
     return CloneResult(graphs, budget_hit, words, mult, level, seeds, index,
-                       _Terms(terms, factors[:m].copy()))
+                       factors[:m].copy(), terms)
 
 
 def classify(clone, reading="total"):

@@ -202,7 +202,7 @@ def decide(g, budget=polyclone.DEFAULT_BUDGET, reading="total", clone=None):
     if cycle is not None:
         return Untypable(cycle)
     typing = construct_typing(g, varpi)
-    report = verifier.verify(g, typing, mode="literal")
+    report = verifier.verify(g, typing)
     if not report.accepted:
         raise InternalError("constructed typing failed verification")
     return Typable(typing)
@@ -212,25 +212,24 @@ def decide(g, budget=polyclone.DEFAULT_BUDGET, reading="total", clone=None):
 class ClaimStarReport:
     """Diagnostics for a strengthened pair of typability conditions.
 
-    The first two fields split a biconditional: nontrivial-op
-    coconvergence implying congruence-equivalence, and the converse.
-    eventual_divergence asks that every element reach, by repeated
-    application to carrier elements, one whose row is not total. The
-    report is informational and never affects the decision.
+    Each clause holds exactly when its counterexample is None. The first
+    two split a biconditional: nontrivial-op coconvergence implying
+    congruence-equivalence, refuted by (a, c, op), and the converse,
+    refuted by (a, c). Eventual divergence asks that every element reach,
+    by repeated application to carrier elements, one whose row is not
+    total; it is refuted by an element that cannot. The report is
+    informational and never affects the decision.
     """
 
-    coconvergence_implies_equivalence: bool
-    equivalence_implies_coconvergence: bool
-    eventual_divergence: bool
     coconvergence_counterexample: tuple | None
     equivalence_counterexample: tuple | None
     divergence_counterexample: object | None
 
     @property
     def holds(self):
-        return (self.coconvergence_implies_equivalence
-                and self.equivalence_implies_coconvergence
-                and self.eventual_divergence)
+        return (self.coconvergence_counterexample is None
+                and self.equivalence_counterexample is None
+                and self.divergence_counterexample is None)
 
 
 def check_claim_star(g, clone, varpi):
@@ -243,16 +242,15 @@ def check_claim_star(g, clone, varpi):
     dom = clone.domains() & ~clone.trivial[:, None]
     co = (dom.T @ dom).tolist()
 
-    if_ok, if_ce = True, None
-    onlyif_ok, onlyif_ce = True, None
+    if_ce = onlyif_ce = None
     for a in range(n):
         for c in range(a, n):
             eq = varpi.class_of[a] == varpi.class_of[c]
             if co[a][c] and not eq and if_ce is None:
                 op = clone.op(int((dom[:, a] & dom[:, c]).argmax()))
-                if_ok, if_ce = False, (g.element(a), g.element(c), op)
+                if_ce = (g.element(a), g.element(c), op)
             if eq and not co[a][c] and onlyif_ce is None:
-                onlyif_ok, onlyif_ce = False, (g.element(a), g.element(c))
+                onlyif_ce = (g.element(a), g.element(c))
 
     products = [set() for _ in range(n)]
     row_len = [0] * n
@@ -261,7 +259,7 @@ def check_claim_star(g, clone, varpi):
         row_len[e] += 1
     successors = [sorted(s) for s in products]
     row_total = [k == n for k in row_len]
-    div_ok, div_ce = True, None
+    div_ce = None
     for s in range(n):
         seen = {s}
         queue = deque([s])
@@ -276,9 +274,9 @@ def check_claim_star(g, clone, varpi):
                     seen.add(v)
                     queue.append(v)
         if not escapes:
-            div_ok, div_ce = False, g.element(s)
+            div_ce = g.element(s)
             break
-    return ClaimStarReport(if_ok, onlyif_ok, div_ok, if_ce, onlyif_ce, div_ce)
+    return ClaimStarReport(if_ce, onlyif_ce, div_ce)
 
 
 def _definite_reference(clone, reading):

@@ -1,12 +1,14 @@
 """Independent checker of the typed-applicative-algebra axioms.
 
 Checks a (pargoid, typing) pair with concrete witnesses for every
-violation: the type blocks partition the carrier, distinct types never
-share a block, the inhabited type set is closed under arrow components,
-and defined products respect arrow types. The totality direction —
-matching types force a defined product — is checked separately and only
-counts toward acceptance in strong mode. This module never calls the
-decision pipeline, so it can serve as its oracle.
+violation: the inhabited type set is closed under arrow components, and
+defined products respect arrow types. The totality direction — matching
+types force a defined product — is checked separately, and only strong
+acceptance requires it. A typing gives each element exactly one type, so
+the type blocks partition the carrier and distinct types never share a
+block: those two axioms hold by construction and are not checked. This
+module imports nothing from the decision pipeline, so it can serve as
+its oracle.
 """
 from __future__ import annotations
 
@@ -17,8 +19,6 @@ from .errors import InputError
 from .pargoid import decode
 from .types import Arrow, Typing, format_type, parse_type
 
-MODES = ("literal", "strong")
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -28,38 +28,28 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of every axiom check plus the acceptance mode applied.
+    """Outcome of every axiom check.
 
-    Literal acceptance requires partition, injectivity, strictness and
-    the forward product axiom; strong acceptance adds totality.
+    accepted is literal acceptance: strictness and the forward product
+    axiom; accepted_strong adds totality.
     """
 
-    mode: str
-    partition_ok: bool
-    injectivity_ok: bool
     strictness_ok: bool
     axiom1_forward_ok: bool
     axiom1_totality_ok: bool
     failures: tuple
 
     @property
-    def accepted_literal(self):
-        return (self.partition_ok and self.injectivity_ok
-                and self.strictness_ok and self.axiom1_forward_ok)
+    def accepted(self):
+        return self.strictness_ok and self.axiom1_forward_ok
 
     @property
     def accepted_strong(self):
-        return self.accepted_literal and self.axiom1_totality_ok
-
-    @property
-    def accepted(self):
-        return self.accepted_strong if self.mode == "strong" else self.accepted_literal
+        return self.accepted and self.axiom1_totality_ok
 
 
-def verify(g, typing, mode="literal"):
+def verify(g, typing):
     """Check the axioms of g under the typing; returns a VerifyReport."""
-    if mode not in MODES:
-        raise InputError(f"unknown verification mode {mode!r}")
     n = g.size
     if len(typing.types) != n:
         raise InputError("typing does not match the carrier size")
@@ -68,20 +58,9 @@ def verify(g, typing, mode="literal"):
             raise InputError(f"element {g.names[e]} has no type")
 
     failures = []
-
-    # one type per element makes the induced blocks disjoint, nonempty and
-    # covering, and distinct types get distinct blocks; both checks hold
-    # structurally for assignment-based typings and are kept for reporting
     blocks = {}
     for e, t in enumerate(typing.types):
         blocks.setdefault(t, []).append(e)
-    partition_ok = (all(blocks.values())
-                    and sum(len(b) for b in blocks.values()) == n)
-    if not partition_ok:
-        failures.append(Violation("partition", "type blocks do not partition the carrier"))
-    injectivity_ok = len({tuple(b) for b in blocks.values()}) == len(blocks)
-    if not injectivity_ok:
-        failures.append(Violation("injectivity", "distinct types share a block"))
 
     # the inhabited types must be closed under arrow components; types are
     # rendered only to report a failure, as deep typings render exponentially
@@ -128,25 +107,8 @@ def verify(g, typing, mode="literal"):
                     f"{g.names[a]} {g.names[b]} diverges despite matching "
                     f"types {format_type(ta)} and {format_type(ta.antecedent)}"))
 
-    return VerifyReport(mode, partition_ok, injectivity_ok, strictness_ok,
-                        axiom1_forward_ok, axiom1_totality_ok, tuple(failures))
-
-
-def lemma1_check(g, typing, clone, varpi):
-    """Same-type elements must be congruence-equivalent.
-
-    Returns (True, None) or (False, (a, b, separating op)) for the first
-    same-type pair in different blocks.
-    """
-    from . import congruence  # numpy-backed; verify itself loads no numpy
-    n = g.size
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (typing.types[a] == typing.types[b]
-                    and varpi.class_of[a] != varpi.class_of[b]):
-                sep = congruence.separator(g, clone, a, b)
-                return False, (g.element(a), g.element(b), sep)
-    return True, None
+    return VerifyReport(strictness_ok, axiom1_forward_ok, axiom1_totality_ok,
+                        tuple(failures))
 
 
 def typing_isomorphic(t1, t2):

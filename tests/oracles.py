@@ -51,6 +51,11 @@ def pointwise(g, p, q):
         for x in range(g.size))
 
 
+def ops(clone):
+    """Every op of the clone as a UnaryPolyOp, in op order."""
+    return [clone.op(i) for i in range(clone.op_count)]
+
+
 def brute_force_clone_graphs(g):
     """Clone graph set by a pairs fixpoint over tuples: each round
     multiplies every graph with each one first found in the round before,
@@ -183,10 +188,10 @@ def condition_i_reference(clone, varpi):
     """(op, a, c) for the first definite op, in op order, whose domain
     crosses blocks, and its lexicographically first crossing pair; None
     when there is none. A per-op scan of the classified clone's ops."""
-    for op in clone.ops:
+    for op in ops(clone):
         if not op.is_definite:
             continue
-        dom = op.domain
+        dom = [i for i, v in enumerate(op.graph) if v is not None]
         for i, a in enumerate(dom):
             for c in dom[i + 1:]:
                 if varpi.class_of[a] != varpi.class_of[c]:
@@ -196,7 +201,7 @@ def condition_i_reference(clone, varpi):
 
 def separator_reference(clone, a, c):
     """First op, in op order, converging on exactly one of a and c."""
-    for op in clone.ops:
+    for op in ops(clone):
         if (op.graph[a] is None) != (op.graph[c] is None):
             return op
     return None

@@ -23,8 +23,7 @@ from pargoids.typability import (Cycle, Typable, Untypable, check_claim_star,
                                  check_condition_i, check_condition_ii,
                                  decide, validate_certificate)
 from pargoids.types import Arrow, type_size
-from pargoids.verifier import (lemma1_check, parse_typing, serialize_typing,
-                               typing_isomorphic, verify)
+from pargoids.verifier import parse_typing, serialize_typing, typing_isomorphic, verify
 
 import oracles
 
@@ -130,9 +129,9 @@ def _run_typed():
             continue
         typing = d_total.typing
         typings.append((g, typing))
-        if not verify(g, typing, mode="literal").accepted_literal:
+        if not verify(g, typing).accepted:
             fails.append((key, "verify-literal", None))
-        if verify(g, typing, mode="strong").accepted_strong:
+        if verify(g, typing).accepted_strong:
             strong_accepts += 1
         flagged = classify(clone, "total")
         varpi = congruence.leibniz(g, flagged)
@@ -140,7 +139,7 @@ def _run_typed():
             fails.append((key, "condition-i", None))
         if check_condition_ii(g) is not None:
             fails.append((key, "condition-ii", None))
-        ok, counter = lemma1_check(g, typing, flagged, varpi)
+        ok, counter = congruence.lemma1_check(g, typing, flagged, varpi)
         if not ok:
             fails.append((key, "lemma-1", counter))
         for (a, b), c in g.table.items():
@@ -196,11 +195,11 @@ def _run_arb():
                 if not ok:
                     fails.append((key, reading, "revalidation", why))
             elif isinstance(decision, Typable):
-                if not verify(g, decision.typing, mode="literal").accepted_literal:
+                if not verify(g, decision.typing).accepted:
                     fails.append((key, reading, "verify-literal", None))
         if isinstance(d_total, Typable):
             typings.append((g, d_total.typing))
-            if verify(g, d_total.typing, mode="strong").accepted_strong:
+            if verify(g, d_total.typing).accepted_strong:
                 strong_accepts += 1
         if not clone.budget_hit:
             closed += 1
@@ -317,14 +316,14 @@ def test_criterion_2_six_element_typable():
     elapsed = time.perf_counter() - t0
     assert isinstance(decision, Typable)
     assert typing_isomorphic(decision.typing, known)
-    assert verify(g, decision.typing, mode="strong").accepted_strong
+    assert verify(g, decision.typing).accepted_strong
     # the separator converges on a (to d) and diverges on c
     assert sep is not None
     sep_values = term_graph(g, sep.witness)
     assert sep_values[g.element("a").index] == g.element("d").index
     assert sep_values[g.element("c").index] is None
     # x.b is indefinite yet converges on both a and c
-    xb = flagged.ops[flagged.find((3, None, 4, None, None, None))]
+    xb = flagged.op(flagged.find((3, None, 4, None, None, None)))
     ia, ic = g.element("a").index, g.element("c").index
     assert xb.graph[ia] is not None and xb.graph[ic] is not None
     assert not xb.is_definite and not xb.is_constant and not xb.is_trivial

@@ -416,6 +416,22 @@ def test_stats_refuses_arguments_before_any_output():
     assert (code, out) == (2, "")
 
 
+def test_stats_refuses_a_count_below_one():
+    # no row is made, so a check of the first row alone would pass them
+    for argv in (["--count", "0", "--size", "5", "--budget", "1"],
+                 ["--count", "-2", "--size", "0"]):
+        code, out, err = run(["stats", *argv])
+        assert (code, out) == (2, "")
+        assert err == "error: --count must be at least 1\n"
+
+
+def test_gen_refuses_a_negative_type_depth():
+    code, out, err = run(["gen", "--mode", "typed_strong", "--size", "4",
+                          "--type-depth", "-3"])
+    assert (code, out) == (2, "")
+    assert err == "error: type depth must be at least 0\n"
+
+
 def test_internal_error_exits_4(monkeypatch):
     def broken(g, varpi):
         raise InternalError("application order contains a cycle")

@@ -1,8 +1,11 @@
 import pytest
 
-from pargoids.congruence import is_congruence, leibniz, make_partition, separator
+from pargoids import typability
+from pargoids.congruence import (is_congruence, leibniz, lemma1_check, make_partition,
+                                 separator)
 from pargoids.errors import InputError
-from pargoids.polyclone import compute_clone, format_term
+from pargoids.polyclone import classify, compute_clone, format_term
+from pargoids.types import Ground, Typing
 
 import oracles
 
@@ -114,3 +117,27 @@ def test_separator_refuses_truncated_clone():
     g = oracles.six()
     with pytest.raises(InputError):
         separator(g, compute_clone(g, budget=7), 0, 2)
+
+
+def test_lemma1_fixture_cases():
+    g6 = oracles.six()
+    clone6 = classify(compute_clone(g6))
+    varpi6 = leibniz(g6, clone6)
+    decision = typability.decide(g6)
+    assert lemma1_check(g6, decision.typing, clone6, varpi6) == (True, None)
+
+    gv = oracles.void2()
+    clonev = classify(compute_clone(gv))
+    varpiv = leibniz(gv, clonev)
+    typing = Typing((Ground("g0"), Ground("g0")))
+    assert lemma1_check(gv, typing, clonev, varpiv) == (True, None)
+
+
+def test_lemma1_detects_profile_split():
+    g = oracles.three()
+    clone = classify(compute_clone(g))
+    varpi = leibniz(g, clone)
+    ok, (a, b, sep) = lemma1_check(g, Typing((Ground("g0"),) * 3), clone, varpi)
+    assert not ok
+    assert (a.name, b.name) == ("a", "b")
+    assert format_term(sep.witness) == "(prod var var)"

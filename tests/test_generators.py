@@ -118,8 +118,8 @@ def test_gen_typed_strong_satisfies_strong_mode():
         cfg = GenConfig(size=2 + k % 7, seed=8100 + k, mode="typed_strong",
                         type_depth=1 + k % 3, ground_count=1 + k % 2)
         g, typing = gen_typed(cfg)
-        report = verify(g, typing, "strong")
-        assert report.accepted, (cfg, report.failures)
+        report = verify(g, typing)
+        assert report.accepted_strong, (cfg, report.failures)
         assert isinstance(typability.decide(g), typability.Typable)
 
 
@@ -129,7 +129,7 @@ def test_gen_typed_literal_satisfies_literal_mode():
                         density=(0.0, 0.4, 0.8)[k % 3], type_depth=2,
                         ground_count=1)
         g, typing = gen_typed(cfg)
-        assert verify(g, typing, "literal").accepted
+        assert verify(g, typing).accepted
     g, _ = gen_typed(GenConfig(size=5, seed=3, mode="typed_literal",
                                density=0.0, type_depth=2, ground_count=2))
     assert g.table == {}

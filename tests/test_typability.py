@@ -86,8 +86,8 @@ def test_decide_six():
         "cb": "g4",
         "d": "g5",
     }
-    assert verifier.verify(g, decision.typing, "literal").accepted
-    assert verifier.verify(g, decision.typing, "strong").accepted
+    assert verifier.verify(g, decision.typing).accepted
+    assert verifier.verify(g, decision.typing).accepted_strong
 
 
 def test_decide_quad_prefers_definite_violation():
@@ -187,26 +187,26 @@ def test_claim_star_six():
     clone = compute_clone(g)
     report = check_claim_star(g, clone, leibniz(g, clone))
     assert not report.holds
-    assert not report.coconvergence_implies_equivalence
+    assert report.coconvergence_counterexample is not None
     a, c, op = report.coconvergence_counterexample
     assert (a.name, c.name) == ("a", "c")
     assert format_term(op.witness) == "(prod var (const b))"
     assert not op.is_definite
-    assert not report.equivalence_implies_coconvergence
+    assert report.equivalence_counterexample is not None
     x, y = report.equivalence_counterexample
     assert (x.name, y.name) == ("cb", "cb")
-    assert report.eventual_divergence
+    assert report.divergence_counterexample is None
 
 
 def test_claim_star_void():
     g = oracles.void2()
     clone = compute_clone(g)
     report = check_claim_star(g, clone, leibniz(g, clone))
-    assert report.coconvergence_implies_equivalence
-    assert not report.equivalence_implies_coconvergence
+    assert report.coconvergence_counterexample is None
+    assert report.equivalence_counterexample is not None
     x, y = report.equivalence_counterexample
     assert (x.name, y.name) == ("x", "x")
-    assert report.eventual_divergence
+    assert report.divergence_counterexample is None
     assert not report.holds
 
 
@@ -252,7 +252,7 @@ def test_validate_certificate_rejects_tampered_violations():
 
     # separator that converges on both elements
     clone = compute_clone(g)
-    ident = clone.ops[0]
+    ident = clone.op(0)
     nosep = DefiniteViolation(cert.op, cert.a, cert.c, ident)
     ok, reason = validate_certificate(g, nosep)
     assert not ok and "separate" in reason
@@ -333,8 +333,8 @@ def test_validate_certificate_rejects_indefinite_op():
     # x.b converges on a and c and they are separable, but it is not definite
     g = oracles.six()
     clone = closed(g)
-    xb = clone.ops[clone.find((3, None, 4, None, None, None))]
-    xbd = clone.ops[clone.find((5, None, None, None, None, None))]
+    xb = clone.op(clone.find((3, None, 4, None, None, None)))
+    xbd = clone.op(clone.find((5, None, None, None, None, None)))
     cert = DefiniteViolation(xb, g.element("a"), g.element("c"), xbd)
     ok, reason = validate_certificate(g, cert)
     assert not ok and "not definite" in reason
@@ -348,4 +348,4 @@ def test_definite_reference_matches_classify():
         raw = compute_clone(g)
         for reading in polyclone.READINGS:
             flags = typability._definite_reference(raw, reading)
-            assert list(flags) == [op.is_definite for op in classify(raw, reading).ops]
+            assert list(flags) == [op.is_definite for op in oracles.ops(classify(raw, reading))]
