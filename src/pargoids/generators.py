@@ -77,6 +77,13 @@ def _check_common(cfg):
         raise InputError("density must lie in [0, 1]")
     if cfg.mode not in GEN_MODES:
         raise InputError(f"unknown generation mode {cfg.mode!r}")
+    # only the typed modes read these, but every mode refuses them
+    if cfg.ground_count < 1:
+        raise InputError("typed modes need at least one ground type")
+    if cfg.ground_count > cfg.size:
+        raise InputError("more ground types than elements")
+    if cfg.type_depth < 0:
+        raise InputError("type depth must be at least 0")
 
 
 def _names(n):
@@ -107,12 +114,6 @@ def _sample_type_set(cfg, rng):
     are existing members, rejecting depth overflows and duplicates, so
     the set stays closed under components and never exceeds the carrier.
     """
-    if cfg.ground_count < 1:
-        raise InputError("typed modes need at least one ground type")
-    if cfg.ground_count > cfg.size:
-        raise InputError("more ground types than elements")
-    if cfg.type_depth < 0:
-        raise InputError("type depth must be at least 0")
     pool = [Ground(f"g{i}") for i in range(cfg.ground_count)]
     depth = dict.fromkeys(pool, 0)  # member -> arrow nesting depth
     extras = rng.below(cfg.size - cfg.ground_count + 1)

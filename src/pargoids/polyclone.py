@@ -17,6 +17,10 @@ which fixes the op numbering, and how batching keeps it. Sorting the
 product rows by their words dedupes a batch: equal rows form runs, each
 run's earliest pair is the least pair index in it, whatever order the
 sort leaves within the run, and each run's graph is looked up once.
+A batch's pairs are slices of one module-level table of the worklist's
+pairs in order, for the ops below _TABLE_OPS (256). The table is built
+on first use to the ops the batch reaches, grown by doubling, and
+replaced whole, and past the cap a batch computes its pairs.
 
 A clone is its arrays: the padded rows, each new op's factor pair, and
 one level and one seed byte per op, so memory is linear in the op count
@@ -55,6 +59,16 @@ _PRODUCT_CHUNK = 1 << 20
 # they are more; it bounds a batch's arrays and the work done past a
 # reached budget
 _PAIR_CAP = 4096
+
+# a batch of ops below this many slices its worklist pairs from a table
+_TABLE_OPS = 256
+
+# the left and right factors of the worklist's first K² pairs, those of
+# the first K ops for some K <= _TABLE_OPS, grown by _worklist_pairs: two
+# read-only intp arrays, as a take first casts a narrower index array to
+# intp (with uint8, typed benchmark clones took 2-5% longer on a 2-core
+# x86-64 machine)
+_pair_table = (np.empty(0, dtype=np.intp),) * 2
 
 
 @dataclass(frozen=True)
@@ -335,15 +349,50 @@ def _products(words, mult, left, right):
     return mult.take(idx + words.take(right, axis=0).view(np.uint8))
 
 
-def _worklist_pairs(done, end):
-    """Left and right factors of the worklist's pairs of ops done to
-    end - 1, in order: for op i, (j, i) for j <= i, then (i, j) for j < i.
-    Op i's pairs are thus pairs i² to (i + 1)² - 1 of the whole worklist."""
+def _pairs_by_formula(done, end):
+    """_worklist_pairs(done, end) computed from the op indices: op i's
+    pairs take places i² to (i + 1)² - 1 of the whole worklist."""
     span = np.arange(done, end)
     op = np.repeat(span, 2 * span + 1)
     t = np.arange(len(op)) + (done * done - op * op)  # place in the op's pairs
     lead = t <= op
     return np.where(lead, t, op), np.where(lead, op, t - op - 1)
+
+
+def _grown_pair_table(table, end):
+    """The pair table grown to at least end ops: the larger of end and
+    twice its ops, at most _TABLE_OPS. The pairs are computed a batch of
+    ops at a time, straight into the new table."""
+    have = math.isqrt(len(table[0]))
+    ops = min(_TABLE_OPS, max(end, 2 * have))
+    grown = np.empty((2, ops * ops), dtype=np.intp)
+    grown[:, :have * have] = table
+    lo = have
+    while lo < ops:
+        hi = min(ops, math.isqrt(lo * lo + _PAIR_CAP))
+        grown[:, lo * lo:hi * hi] = _pairs_by_formula(lo, hi)
+        lo = hi
+    grown.setflags(write=False)
+    return grown[0], grown[1]
+
+
+def _worklist_pairs(done, end):
+    """Left and right factors of the worklist's pairs of ops done to
+    end - 1, in order: for op i, (j, i) for j <= i, then (i, j) for j < i.
+    Op i's pairs are thus pairs i² to (i + 1)² - 1 of the whole worklist.
+
+    Up to end = _TABLE_OPS the pairs are read-only slices of _pair_table,
+    grown first if end reaches past it; past _TABLE_OPS they are computed.
+    """
+    global _pair_table
+    if end > _TABLE_OPS:
+        return _pairs_by_formula(done, end)
+    table = _pair_table
+    if len(table[0]) < end * end:
+        # one assignment: a concurrent reader sees the old table or the new
+        table = _pair_table = _grown_pair_table(table, end)
+    left, right = table
+    return left[done * done:end * end], right[done * done:end * end]
 
 
 def _runs(rows):
@@ -495,10 +544,13 @@ def classify(clone, reading="total"):
     p ↦ p·c for definite p and constant c (products computed on demand).
     Under the "total" reading a constant op is a total constant map; under
     "on-domain" any op with at most one distinct defined value counts as
-    constant (the empty op vacuously so).
+    constant (the empty op vacuously so). A clone already classified
+    under reading is returned as it is.
     """
     if reading not in READINGS:
         raise InputError(f"unknown constant reading {reading!r}")
+    if clone.reading == reading:
+        return clone
     if clone.budget_hit:
         raise InputError("cannot classify a clone truncated by its budget")
     threshold = _NONCONSTANT_LEVEL[reading]

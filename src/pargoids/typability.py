@@ -90,16 +90,33 @@ def check_condition_i(g, clone, varpi):
 def check_condition_ii(g):
     """Shortest application-order cycle, or None when the order is acyclic.
 
-    Breadth-first search from every start element; ties between equally
-    short cycles go to the smallest start index.
+    Kahn's algorithm first tests acyclicity in O(n + products): it takes
+    away, one at a time, each element that no element left lies above,
+    and it takes away all of them exactly when the order has no cycle.
+    Only when a cycle exists is the shortest one sought, by breadth-first
+    search from every start element; ties between equally short cycles
+    go to the smallest start index.
     """
-    below = [set() for _ in range(g.size)]
+    n = g.size
+    below = [set() for _ in range(n)]
     for (a, b), c in g.table.items():
         below[a].add(b)
         below[a].add(c)
+    above = [0] * n
+    for vs in below:
+        for v in vs:
+            above[v] += 1
+    free = [v for v in range(n) if not above[v]]
+    for u in free:  # free grows as it is read
+        for v in below[u]:
+            above[v] -= 1
+            if not above[v]:
+                free.append(v)
+    if len(free) == n:
+        return None
     below = [sorted(v) for v in below]
     best = None
-    for s in range(g.size):
+    for s in range(n):
         parent = {}
         dist = {s: 0}
         queue = deque([s])

@@ -164,6 +164,34 @@ def doubling_chain(n):
                            {(k, k - 1): k - 1 for k in range(1, n)})
 
 
+def has_application_cycle(g):
+    """Whether the application order of g has a cycle: a depth-first
+    search over the edges a -> b and a -> ab of each defined product ab,
+    which meets a cycle exactly when an edge leads back to an element
+    still on the search path."""
+    succ = [[] for _ in range(g.size)]
+    for (a, b), c in g.table.items():
+        succ[a] += (b, c)
+    state = [0] * g.size  # 0 unseen, 1 on the search path, 2 finished
+    for root in range(g.size):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            u, edges = stack[-1]
+            v = next(edges, None)
+            if v is None:
+                state[u] = 2
+                stack.pop()
+            elif state[v] == 1:
+                return True
+            elif state[v] == 0:
+                state[v] = 1
+                stack.append((v, iter(succ[v])))
+    return False
+
+
 def doubling_type(k, ground="g0"):
     """T_0 = ground, T_(i+1) = T_i -> T_i: a DAG of k + 1 terms whose tree
     has 2^(k+1) - 1 nodes."""

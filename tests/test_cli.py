@@ -211,6 +211,25 @@ def test_congruence_output():
     assert doc["blocks"] == [["a"], ["b"], ["c"], ["ab"], ["cb"], ["d"]]
 
 
+def test_claim_star_classifies_the_clone_once(monkeypatch):
+    # decide is handed the classified clone, and classify returns a clone
+    # already classified under the reading as it is: one classification
+    # builds masks, and the second call hands its clone back
+    from pargoids import polyclone
+    classify = polyclone.classify
+    calls = []
+
+    def counting(clone, reading="total"):
+        out = classify(clone, reading)
+        calls.append(out is clone)
+        return out
+
+    monkeypatch.setattr(polyclone, "classify", counting)
+    code, _, _ = run(["claim-star", SIX])
+    assert code == 0
+    assert calls == [False, True]
+
+
 def test_claim_star_three():
     code, out, _ = run(["claim-star", THREE])
     assert code == 1
@@ -430,6 +449,19 @@ def test_gen_refuses_a_negative_type_depth():
                           "--type-depth", "-3"])
     assert (code, out) == (2, "")
     assert err == "error: type depth must be at least 0\n"
+
+
+def test_gen_refuses_a_negative_type_depth_in_arbitrary_mode():
+    # the default arbitrary mode reads no type depth, and refuses a bad one
+    code, out, err = run(["gen", "--size", "3", "--type-depth", "-3"])
+    assert (code, out) == (2, "")
+    assert err == "error: type depth must be at least 0\n"
+
+
+def test_gen_refuses_no_ground_types_in_arbitrary_mode():
+    code, out, err = run(["gen", "--size", "3", "--ground-count", "0"])
+    assert (code, out) == (2, "")
+    assert err == "error: typed modes need at least one ground type\n"
 
 
 def test_internal_error_exits_4(monkeypatch):

@@ -167,6 +167,7 @@ def test_clone_op_numbering():
     wide = wide_generation_input()
     _, _, generations = oracles.worklist_clone(wide)
     assert any(hi * hi - lo * lo > polyclone._PAIR_CAP for lo, hi in generations)
+    past_table = False
     for g in inputs + [wide]:
         clone = compute_clone(g, budget=1024)
         assert clone.op(0).graph == tuple(range(g.size))
@@ -174,17 +175,32 @@ def test_clone_op_numbering():
             assert clone.op(1 + b).graph == (b,) * g.size
         if not clone.budget_hit:
             assert [op.graph for op in oracles.ops(clone)] == oracles.worklist_clone(g)[0]
+            past_table |= clone.op_count > polyclone._TABLE_OPS
+    # batches past the pair table's ops compute their pairs
+    assert past_table
 
 
-def test_worklist_pairs_follow_the_documented_order():
+def test_worklist_pairs_follow_the_documented_order(monkeypatch):
     # op i's pairs, (j, i) for j <= i and then (i, j) for j < i, take
-    # places i² to (i + 1)² - 1, whatever op range a batch starts at
-    expected = [pair for i in range(200)
+    # places i² to (i + 1)² - 1, whatever op range a batch starts at;
+    # from an empty pair table, each range is checked with the table's op
+    # count after it: grown to the larger of end and twice its ops, at
+    # most 256, and left as it is by a range it holds or one past 256
+    cap = polyclone._TABLE_OPS
+    assert cap == 256
+    expected = [pair for i in range(300)
                 for pair in [(j, i) for j in range(i + 1)] + [(i, j) for j in range(i)]]
-    for done, end in ((0, 1), (0, 128), (5, 9), (127, 128), (100, 140),
-                      (128, 200), (150, 151)):
+    monkeypatch.setattr(polyclone, "_pair_table", (np.empty(0, dtype=np.intp),) * 2)
+    for (done, end), table_ops in (((0, 1), 1), ((5, 9), 9), ((0, 4), 9),
+                                   ((250, 260), 9), ((0, 300), 9), ((256, 257), 9),
+                                   ((100, 140), 140), ((127, 128), 140), ((3, 7), 140),
+                                   ((128, 200), 256), ((150, 151), 256),
+                                   ((250, 256), 256), ((255, 258), 256), ((0, 128), 256)):
         left, right = polyclone._worklist_pairs(done, end)
         assert list(zip(left.tolist(), right.tolist())) == expected[done * done:end * end]
+        assert len(polyclone._pair_table[0]) == table_ops * table_ops
+        if end <= cap:
+            assert not left.flags.writeable and not right.flags.writeable
 
 
 def same_terms(got, expected):

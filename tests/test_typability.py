@@ -45,6 +45,30 @@ def test_condition_ii_prefers_shortest_cycle():
     assert ok, reason
 
 
+def test_condition_ii_finds_a_cycle_exactly_when_one_exists():
+    # an acyclic order ends at the acyclicity pre-check, a cyclic one goes
+    # on to the search; an independent depth-first search tells them apart
+    tables = [g for _, g in oracles.arbitrary_batch(60, (2, 3, 5, 8), (0.05, 0.1, 0.3), 9400)]
+    typed = oracles.typed_literal_batch(24, 9500) + \
+        [oracles.doubling_chain(n) for n in (1, 2, 5, 12)]
+    tables += typed
+    # each typed table again with one self-loop product, a b = a or a a = b
+    for k, g in enumerate(typed):
+        n = g.size
+        a, b = k % n, (3 * k + 1) % n
+        tables.append(Pargoid(g.names, {**g.table, (a, b): a} if k % 2
+                              else {**g.table, (a, a): b}))
+    cyclic = 0
+    for g in tables:
+        cyc = check_condition_ii(g)
+        assert (cyc is not None) == oracles.has_application_cycle(g)
+        if cyc is not None:
+            cyclic += 1
+            ok, reason = validate_certificate(g, cyc)
+            assert ok, reason
+    assert 30 <= cyclic <= len(tables) - 30
+
+
 def test_condition_i_fixtures():
     g6 = oracles.six()
     assert check_condition_i(g6, closed(g6), leibniz(g6, compute_clone(g6))) is None
