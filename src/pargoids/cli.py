@@ -203,36 +203,31 @@ def _cmd_congruence(args):
     return EXIT_OK
 
 
-def _gen_config(args, seed):
+def _generate(args, seed):
+    """The generated pargoid, and its typing in a typed mode or else None."""
     from . import generators
-    return generators.GenConfig(
+    cfg = generators.GenConfig(
         size=args.size, seed=seed, mode=args.mode, density=args.density,
         type_depth=args.type_depth, ground_count=args.ground_count)
+    if cfg.mode == "arbitrary":
+        return generators.gen_arbitrary(cfg), None
+    return generators.gen_typed(cfg)
 
 
 def _cmd_gen(args):
-    from . import generators
-    cfg = _gen_config(args, args.seed)
-    if cfg.mode == "arbitrary":
-        if args.with_typing:
-            raise InputError("arbitrary mode generates no typing")
-        g = generators.gen_arbitrary(cfg)
-    else:
-        g, typing = generators.gen_typed(cfg)
-        if args.with_typing:
-            with open(args.with_typing, "wb") as fh:
-                fh.write(verifier.serialize_typing(g, typing))
+    if args.with_typing and args.mode == "arbitrary":
+        raise InputError("arbitrary mode generates no typing")
+    g, typing = _generate(args, args.seed)
+    if args.with_typing:
+        with open(args.with_typing, "wb") as fh:
+            fh.write(verifier.serialize_typing(g, typing))
     sys.stdout.buffer.write(pargoid.serialize(g, "json" if args.json else "text"))
     return EXIT_OK
 
 
 def _stats_row(args, s):
-    from . import congruence, generators, polyclone, typability
-    cfg = _gen_config(args, s)
-    if cfg.mode == "arbitrary":
-        g = generators.gen_arbitrary(cfg)
-    else:
-        g, _ = generators.gen_typed(cfg)
+    from . import congruence, polyclone, typability
+    g, _ = _generate(args, s)
     clone = polyclone.compute_clone(g, args.budget)
     classes = ""
     if not clone.budget_hit:

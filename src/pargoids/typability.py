@@ -87,15 +87,13 @@ def check_condition_i(g, clone, varpi):
     return DefiniteViolation(clone.op(int(ops[r])), g.element(a), g.element(c), sep)
 
 
-def check_condition_ii(g):
-    """Shortest application-order cycle, or None when the order is acyclic.
+def _application_order(g):
+    """Each element's lower neighbours, and the order in Kahn's algorithm.
 
-    Kahn's algorithm first tests acyclicity in O(n + products): it takes
-    away, one at a time, each element that no element left lies above,
-    and it takes away all of them exactly when the order has no cycle.
-    Only when a cycle exists is the shortest one sought, by breadth-first
-    search from every start element; ties between equally short cycles
-    go to the smallest start index.
+    b lies below a when ab is defined or b = ac. Kahn's algorithm takes
+    away, one at a time, each element that no element left lies above, so
+    an element comes after every element above it; it takes away all n
+    elements exactly when the order has no cycle, in O(n + products).
     """
     n = g.size
     below = [set() for _ in range(n)]
@@ -106,13 +104,26 @@ def check_condition_ii(g):
     for vs in below:
         for v in vs:
             above[v] += 1
-    free = [v for v in range(n) if not above[v]]
-    for u in free:  # free grows as it is read
+    order = [v for v in range(n) if not above[v]]
+    for u in order:  # order grows as it is read
         for v in below[u]:
             above[v] -= 1
             if not above[v]:
-                free.append(v)
-    if len(free) == n:
+                order.append(v)
+    return below, order
+
+
+def check_condition_ii(g):
+    """Shortest application-order cycle, or None when the order is acyclic.
+
+    The order is acyclic exactly when Kahn's order holds every element.
+    Only when it does not is the shortest cycle sought, by breadth-first
+    search from every start element; ties between equally short cycles go
+    to the smallest start index.
+    """
+    n = g.size
+    below, order = _application_order(g)
+    if len(order) == n:
         return None
     below = [sorted(v) for v in below]
     best = None
@@ -153,12 +164,15 @@ def construct_typing(g, varpi):
     Blocks containing an element with an empty application row become
     ground types named g<smallest member index>; all their members share
     that ground type. Every other element a takes type(b) -> type(ab) for
-    the smallest-index b with ab defined, once those two are typed: a
-    memoized descent along these dependencies. Inconsistencies here are
-    bug alarms, not user errors — the two typability conditions rule them
-    out.
+    the smallest-index b with ab defined. The elements are typed in
+    reverse Kahn order, so b and ab, both below a, are typed before a.
+    Inconsistencies here are bug alarms, not user errors — the two
+    typability conditions rule them out.
     """
     n = g.size
+    _, order = _application_order(g)
+    if len(order) < n:
+        raise InternalError("application order contains a cycle")
     first = [None] * n  # (b, ab) for the smallest b with ab defined
     for (a, b), c in g.table.items():
         if first[a] is None or b < first[a][0]:
@@ -169,26 +183,10 @@ def construct_typing(g, varpi):
             t = Ground(f"g{blk[0]}")
             for e in blk:
                 types[e] = t
-
-    entered = [False] * n  # an entered element met again untyped closes a cycle
-    for root in range(n):
-        stack = [root]
-        while stack:
-            e = stack[-1]
-            if types[e] is not None:
-                stack.pop()
-                continue
-            if first[e] is None:
-                raise InternalError("untyped element with an empty application row")
+    for e in reversed(order):
+        if types[e] is None:
             b, c = first[e]
-            if types[b] is not None and types[c] is not None:
-                types[e] = Arrow(types[b], types[c])
-                stack.pop()
-            elif entered[e]:
-                raise InternalError("application order contains a cycle")
-            else:
-                entered[e] = True
-                stack += (b, c)
+            types[e] = Arrow(types[b], types[c])
     return Typing(tuple(types))
 
 
@@ -250,7 +248,13 @@ class ClaimStarReport:
 
 
 def check_claim_star(g, clone, varpi):
-    """Evaluate both clauses of the strengthened conditions over g."""
+    """Evaluate both clauses of the strengthened conditions over g.
+
+    Eventual divergence takes one backward pass. It starts from the
+    elements whose rows are not total and follows each product a b = c
+    from c back to a; the counterexample is the smallest index the pass
+    never reaches.
+    """
     if clone.budget_hit:
         raise InputError("claim diagnostics need a fully closed clone")
     if clone.reading is None:
@@ -269,30 +273,19 @@ def check_claim_star(g, clone, varpi):
             if eq and not co[a][c] and onlyif_ce is None:
                 onlyif_ce = (g.element(a), g.element(c))
 
-    products = [set() for _ in range(n)]
+    makers = [[] for _ in range(n)]  # makers[c]: each a with a b = c
     row_len = [0] * n
-    for (e, _), c in g.table.items():
-        products[e].add(c)
-        row_len[e] += 1
-    successors = [sorted(s) for s in products]
-    row_total = [k == n for k in row_len]
-    div_ce = None
-    for s in range(n):
-        seen = {s}
-        queue = deque([s])
-        escapes = False
-        while queue:
-            u = queue.popleft()
-            if not row_total[u]:
-                escapes = True
-                break
-            for v in successors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if not escapes:
-            div_ce = g.element(s)
-            break
+    for (a, _), c in g.table.items():
+        makers[c].append(a)
+        row_len[a] += 1
+    escapes = [k < n for k in row_len]
+    stack = [e for e in range(n) if escapes[e]]
+    while stack:
+        for a in makers[stack.pop()]:
+            if not escapes[a]:
+                escapes[a] = True
+                stack.append(a)
+    div_ce = next((g.element(e) for e in range(n) if not escapes[e]), None)
     return ClaimStarReport(if_ce, onlyif_ce, div_ce)
 
 

@@ -5,7 +5,9 @@ the package's vectorized closure, flag propagation, or partition code, so
 agreement is evidence rather than tautology.
 """
 import heapq
+import itertools
 import sys
+from collections import deque
 from pathlib import Path
 
 from pargoids import generators, pargoid, polyclone, types
@@ -192,6 +194,32 @@ def has_application_cycle(g):
     return False
 
 
+def divergence_reference(g):
+    """The smallest element that cannot reach, by repeated application to
+    carrier elements, one whose row is not total; None when every element
+    can. A breadth-first search forward from every start element."""
+    n = g.size
+    successors = [set() for _ in range(n)]
+    row_len = [0] * n
+    for (a, _), c in g.table.items():
+        successors[a].add(c)
+        row_len[a] += 1
+    for s in range(n):
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if row_len[u] < n:
+                break
+            for v in sorted(successors[u]):
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        else:
+            return g.element(s)
+    return None
+
+
 def doubling_type(k, ground="g0"):
     """T_0 = ground, T_(i+1) = T_i -> T_i: a DAG of k + 1 terms whose tree
     has 2^(k+1) - 1 nodes."""
@@ -279,6 +307,17 @@ def topological_typing_reference(g, varpi):
             b, c = rows[e][0]
             out[e] = types.Arrow(out[b], out[c])
     return tuple(out)
+
+
+def small_tables(max_n):
+    """(n, table) for every table with n <= max_n and at most 4 defined
+    products: all 83 tables with n <= 2, and 12,826 more with n = 3."""
+    for n in range(1, max_n + 1):
+        cells = list(itertools.product(range(n), repeat=2))
+        for k in range(min(len(cells), 4) + 1):
+            for pairs in itertools.combinations(cells, k):
+                for values in itertools.product(range(n), repeat=k):
+                    yield n, dict(zip(pairs, values))
 
 
 def set_partitions(n):

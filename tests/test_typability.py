@@ -164,6 +164,15 @@ def test_construct_typing_matches_topological_reference():
     instances = [oracles.six(), oracles.five(), oracles.void2(), oracles.chain3(),
                  oracles.single()]
     instances += [oracles.doubling_chain(n) for n in range(2, 41)]
+    # the acyclic tables of a fixed sample: arbitrary ones, whose blocks
+    # need not pass condition (i), and typed ones of both modes
+    arbitrary = [g for _, g in oracles.arbitrary_batch(160, (3, 4, 5, 6, 7), (0.05, 0.1, 0.2), 78000)
+                 if not oracles.has_application_cycle(g)]
+    assert len(arbitrary) >= 40
+    instances += arbitrary + oracles.typed_literal_batch(30, 78500)
+    instances += [generators.gen_typed(generators.GenConfig(
+        size=4 + k % 6, seed=78600 + k, mode="typed_strong", type_depth=2 + k % 2,
+        ground_count=1 + k % 2))[0] for k in range(30)]
     for g in instances:
         varpi = leibniz(g, compute_clone(g))
         types = construct_typing(g, varpi).types
@@ -232,6 +241,21 @@ def test_claim_star_void():
     assert (x.name, y.name) == ("x", "x")
     assert report.divergence_counterexample is None
     assert not report.holds
+
+
+def test_claim_star_divergence_matches_reference():
+    # every table with n <= 2, then a sample dense enough that many rows are total
+    tables = [Pargoid("ab"[:n], table) for n, table in oracles.small_tables(2)]
+    tables += [g for _, g in oracles.arbitrary_batch(200, (2, 3, 4), (0.3, 0.6, 0.9, 1.0), 77000)]
+    found = 0
+    for g in tables:
+        clone = compute_clone(g, 1024)
+        assert not clone.budget_hit
+        report = check_claim_star(g, clone, leibniz(g, clone))
+        assert report.divergence_counterexample == oracles.divergence_reference(g), g.table
+        found += report.divergence_counterexample is not None
+    assert len(tables) == 83 + 200
+    assert found == 97
 
 
 def test_claim_star_needs_closed_clone():

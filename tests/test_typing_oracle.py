@@ -23,17 +23,6 @@ import checker  # noqa: E402
 BUDGET = 1024
 
 
-def small_tables():
-    """Every table with n <= 2 (83 tables), and every table with n = 3 and
-    at most 4 defined products (12,826 tables)."""
-    for n in (1, 2, 3):
-        cells = list(itertools.product(range(n), repeat=2))
-        for k in range(min(len(cells), 4) + 1):
-            for pairs in itertools.combinations(cells, k):
-                for values in itertools.product(range(n), repeat=k):
-                    yield n, dict(zip(pairs, values))
-
-
 def sample_tables():
     """100 gen_arbitrary tables: n = 4 + k mod 5, four densities, seed 72000 + k."""
     for k in range(100):
@@ -45,7 +34,7 @@ def sample_tables():
 
 def test_partition_oracle_agrees_with_checker_and_decide():
     seen, exhausted = 0, 0
-    for n, table in itertools.chain(small_tables(), sample_tables()):
+    for n, table in itertools.chain(oracles.small_tables(3), sample_tables()):
         seen += 1
         literal = oracles.partition_typing(n, table, False)
         # a strong typing is a literal one, so it needs a literal partition
